@@ -1,9 +1,9 @@
 package main
 
-// Client side of the p4wnd daemon: submit/status/result/cancel speak the
-// JSON HTTP API documented on cmd/p4wnd. The daemon address comes from
-// -addr, falling back to the P4WND_ADDR environment variable, falling back
-// to the default local port.
+// Client side of the p4wnd daemon: submit/status/result/cancel/trace
+// speak the JSON HTTP API documented on cmd/p4wnd. The daemon address
+// comes from -addr, falling back to the P4WND_ADDR environment variable,
+// falling back to the default local port.
 
 import (
 	"bufio"
@@ -19,9 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -68,7 +66,7 @@ func doJSON(method, url string, reqBody, out any) error {
 // connection errors and 429/502/503/504 responses. The wait between
 // attempts doubles from retryBaseDelay with ±25% jitter; a 429 carrying
 // Retry-After waits at least that long (the daemon sets it when its queue
-// or a tenant quota is full). Anything else — including every 4xx other
+// is full). Anything else — including every 4xx other
 // than 429 — fails immediately: the request itself is wrong, repeating it
 // can't help.
 func doJSONRetry(method, url string, reqBody, out any, retries int) error {
@@ -98,7 +96,8 @@ func doJSONRetry(method, url string, reqBody, out any, retries int) error {
 	}
 }
 
-const (
+// Backoff bounds; variables so tests can shorten them.
+var (
 	retryBaseDelay = 250 * time.Millisecond
 	retryMaxDelay  = 8 * time.Second
 )
@@ -167,7 +166,7 @@ func printStatus(st serve.JobStatus) { printStatusTo(os.Stdout, st) }
 // prints the job ID; with -follow it then streams progress and prints the
 // result JSON to stdout once the job finishes.
 func runSubmit(args []string) {
-	fs := newFlagSet("submit", "submit (-prog name | -file prog.p4w) [-target label] [-target-model model] [-uniform] [-scale quick|default|full] [-seed n] [-priority n] [-tenant name] [-retries n] [-job-timeout d] [-follow] [-addr url]")
+	fs := newFlagSet("submit", "submit (-prog name | -file prog.p4w) [-target label] [-target-model model] [-uniform] [-scale quick|default|full] [-seed n] [-priority n] [-retries n] [-job-timeout d] [-follow] [-addr url]")
 	addr := addrFlag(fs)
 	progName := fs.String("prog", "", "zoo program name")
 	progFile := fs.String("file", "", "mini-language source file (alternative to -prog)")
@@ -177,8 +176,7 @@ func runSubmit(args []string) {
 	scale := fs.String("scale", "", "options preset: quick, default, or full")
 	seed := fs.Int64("seed", 1, "random seed (matches `p4wn profile`'s default)")
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
-	tenant := fs.String("tenant", "", "tenant name for coordinator fair-share scheduling")
-	retries := fs.Int("retries", 3, "resubmit attempts over backpressure (429) and connection errors")
+	retries := fs.Int("retries", 3, "resubmit attempts over backpressure (429), drain (503) and connection errors")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock bound (0 = server default)")
 	follow := fs.Bool("follow", false, "stream progress, then print the result JSON")
 	parseFlags(fs, args)
@@ -191,7 +189,6 @@ func runSubmit(args []string) {
 		Scale:      *scale,
 		Options:    core.WireOptions{Seed: *seed, Target: *targetModel},
 		Priority:   *priority,
-		Tenant:     *tenant,
 		TimeoutSec: jobTimeout.Seconds(),
 	}
 	if *target != "" {
@@ -399,71 +396,6 @@ func runTrace(args []string) {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", *out)
-}
-
-// runCluster talks to a coordinator: `p4wn cluster status` renders the
-// shard table (liveness, queue depths, forward/steal/retry counters) plus
-// tenant fair-share state; -json dumps the raw wire form.
-func runCluster(args []string) {
-	if len(args) < 1 || args[0] != "status" {
-		fmt.Fprintln(os.Stderr, "usage: p4wn cluster status [-json] [-addr url]")
-		os.Exit(2)
-	}
-	fs := newFlagSet("cluster status", "cluster status [-json] [-addr url]")
-	addr := addrFlag(fs)
-	asJSON := fs.Bool("json", false, "print the raw JSON status")
-	parseFlags(fs, args[1:])
-
-	var st cluster.ClusterStatus
-	if err := doJSON(http.MethodGet, baseURL(*addr)+"/v1/cluster/status", nil, &st); err != nil {
-		fatal(err)
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(st)
-		return
-	}
-	state := "serving"
-	if st.Draining {
-		state = "draining"
-	}
-	fmt.Printf("coordinator: %s  pending=%d jobs=%d cache=%d entries (%d hits)\n\n",
-		state, st.Pending, st.Jobs, st.CacheResident, st.CacheHits)
-	rows := make([][]string, 0, len(st.Shards))
-	for _, sh := range st.Shards {
-		shState := "down"
-		switch {
-		case sh.Ready:
-			shState = "ready"
-		case sh.Alive:
-			shState = "draining"
-		}
-		rows = append(rows, []string{
-			sh.Addr, shState,
-			strconv.Itoa(sh.QueueDepth), strconv.Itoa(sh.Running), strconv.Itoa(sh.Dispatched),
-			strconv.FormatInt(sh.Forwards, 10), strconv.FormatInt(sh.Steals, 10),
-			strconv.FormatInt(sh.RemoteHits, 10), strconv.FormatInt(sh.Retries, 10),
-		})
-	}
-	fmt.Print(obs.Table(
-		[]string{"shard", "state", "queue", "running", "dispatched", "forwards", "steals", "remote-hits", "retries"},
-		rows))
-	if len(st.Tenants) > 0 {
-		fmt.Println()
-		trows := make([][]string, 0, len(st.Tenants))
-		for _, tn := range st.Tenants {
-			name := tn.Name
-			if name == "" {
-				name = "default"
-			}
-			trows = append(trows, []string{
-				name, strconv.FormatFloat(tn.Weight, 'g', -1, 64),
-				strconv.Itoa(tn.Pending), strconv.FormatInt(tn.Rejected, 10),
-			})
-		}
-		fmt.Print(obs.Table([]string{"tenant", "weight", "pending", "rejected"}, trows))
-	}
 }
 
 // runCancel cancels a queued or running job.

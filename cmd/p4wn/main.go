@@ -29,14 +29,11 @@
 //	p4wn status [-id JOB]                    one job, or every known job
 //	p4wn result -id JOB [-o out.json]        fetch the stored result
 //	p4wn cancel -id JOB                      cancel a queued/running job
-//	p4wn cluster status                      coordinator shard table
+//	p4wn trace -id JOB [-o trace.json]       export the job's span tree
 //
-// submit retries transient failures — connection errors and 429/503
-// backpressure (honoring Retry-After) — with exponential backoff and
-// jitter; -retries bounds the attempts. Against a coordinator, -tenant
-// names the fair-share tenant the job is accounted to. The same
-// submit/status/result/cancel/trace commands work unchanged against a
-// single daemon or a coordinator.
+// submit retries transient failures — connection errors, 429 from a full
+// queue (honoring Retry-After) and 503 from a draining daemon — with
+// exponential backoff and jitter; -retries bounds the attempts.
 //
 // Trace files ending in .pcap are written/read as libpcap captures
 // (replayable with standard tooling); any other extension uses the
@@ -97,11 +94,10 @@ var commands = map[string]func(args []string){
 	"result":      runResult,
 	"cancel":      runCancel,
 	"trace":       runTrace,
-	"cluster":     runCluster,
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: p4wn <list|targets|lint|profile|adversarial|backtest|monitor|submit|status|result|cancel|trace|cluster> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: p4wn <list|targets|lint|profile|adversarial|backtest|monitor|submit|status|result|cancel|trace> [flags]")
 }
 
 // newFlagSet builds a subcommand flag set with the uniform error

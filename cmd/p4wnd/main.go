@@ -28,23 +28,8 @@
 // SIGTERM/SIGINT drains gracefully: intake stops (submissions get 503),
 // in-flight and queued jobs finish and persist their results, then the
 // process exits 0. A second signal — or -drain-timeout expiring — cancels
-// the remaining jobs and exits nonzero.
-//
-// # Coordinator mode
-//
-//	p4wnd -coordinator -addr :8470 -workers 127.0.0.1:8471,127.0.0.1:8472
-//
-// With -coordinator the process runs no engine of its own: it shards
-// submissions across the listed worker daemons by consistent hashing on the
-// content-addressed job ID, answers repeats from an in-process result LRU
-// or the ring owner's store, steals work from overloaded shards onto idle
-// ones, and enforces per-tenant quotas with weighted-fair dispatch
-// (-tenant-quota, -tenant-weights "alice=3,bob=1"). The job API is
-// identical to a single daemon's, so p4wn needs no new flags to use it;
-// GET /v1/cluster/status adds the shard table (`p4wn cluster status`). In
-// this mode -workers takes the comma-separated worker addresses instead of
-// the per-job profiler parallelism. /healthz and /readyz report liveness
-// and readiness in both modes; a draining process fails /readyz first.
+// the remaining jobs and exits nonzero. /healthz and /readyz report
+// liveness and readiness; a draining process fails /readyz first.
 package main
 
 import (
@@ -57,12 +42,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/serve"
 )
 
@@ -117,7 +100,6 @@ func main() {
 	fs := flag.NewFlagSet("p4wnd", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: p4wnd [-addr host:port] [-store dir] [-queue n] [-jobs n] [-workers n] [-job-timeout d] [-max-job-timeout d] [-drain-timeout d] [-store-cap n] [-max-paths n] [-replay-cap n] [-log-format text|json] [-log-level debug|info|warn|error]")
-		fmt.Fprintln(os.Stderr, "       p4wnd -coordinator -workers addr1,addr2,... [-addr host:port] [-tenant-quota n] [-tenant-weights a=3,b=1] [-queue n] [-dispatchers n] [-steal-load n] [-cache-cap n] [-heartbeat d] [-drain-timeout d]")
 	}
 	defFormat, defLevel := envLogDefaults()
 	addr := fs.String("addr", "127.0.0.1:8471", "listen address")
@@ -125,19 +107,12 @@ func main() {
 	storeCap := fs.Int("store-cap", 256, "in-memory result cache entries")
 	queueDepth := fs.Int("queue", 64, "queued-job bound (past it submissions get 429)")
 	jobWorkers := fs.Int("jobs", 2, "jobs run concurrently")
-	workersFlag := fs.String("workers", "0", "per-job profiler parallelism (0 = GOMAXPROCS); with -coordinator, the comma-separated worker daemon addresses")
+	profWorkers := fs.Int("workers", 0, "per-job profiler parallelism (0 = GOMAXPROCS)")
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "default per-job wall-clock bound")
 	maxJobTimeout := fs.Duration("max-job-timeout", 30*time.Minute, "clamp on requested job timeouts")
 	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "graceful-drain bound on shutdown")
 	maxPaths := fs.Int("max-paths", 1<<20, "per-job MaxPaths quota (<0 disables)")
 	replayCap := fs.Int("replay-cap", 4096, "per-job SSE replay buffer bound in lines")
-	coordinator := fs.Bool("coordinator", false, "run as a fleet coordinator over -workers instead of an engine daemon")
-	tenantQuota := fs.Int("tenant-quota", 32, "coordinator: pending-submission bound per tenant (past it: 429)")
-	tenantWeights := fs.String("tenant-weights", "", "coordinator: fair-share weights as name=weight,... (unlisted tenants weigh 1)")
-	dispatchers := fs.Int("dispatchers", 0, "coordinator: fleet-wide in-flight job bound (0 = 2 per worker)")
-	stealLoad := fs.Int("steal-load", 4, "coordinator: in-flight count past which an idle shard steals the owner's job")
-	cacheCap := fs.Int("cache-cap", 128, "coordinator: hot-result LRU entries")
-	heartbeat := fs.Duration("heartbeat", time.Second, "coordinator: shard stats poll interval")
 	logFormat := fs.String("log-format", defFormat, "log output format: text or json (default from P4WND_LOG)")
 	logLevel := fs.String("log-level", defLevel, "log threshold: debug, info, warn, or error")
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -162,38 +137,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *coordinator {
-		weights, err := parseWeights(*tenantWeights)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4wnd: -tenant-weights: %v\n", err)
-			os.Exit(2)
-		}
-		runCoordinator(logger, coordinatorOpts{
-			addr:         *addr,
-			workers:      splitWorkers(*workersFlag),
-			queueDepth:   *queueDepth,
-			tenantQuota:  *tenantQuota,
-			weights:      weights,
-			dispatchers:  *dispatchers,
-			stealLoad:    *stealLoad,
-			cacheCap:     *cacheCap,
-			heartbeat:    *heartbeat,
-			drainTimeout: *drainTimeout,
-		})
-		return
-	}
-	profWorkers, err := strconv.Atoi(strings.TrimSpace(*workersFlag))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p4wnd: -workers: %q is not a number (worker-address lists need -coordinator)\n", *workersFlag)
-		os.Exit(2)
-	}
-
 	srv, err := serve.New(serve.Config{
 		StoreDir:          *storeDir,
 		StoreCap:          *storeCap,
 		QueueDepth:        *queueDepth,
 		JobWorkers:        *jobWorkers,
-		ProfWorkers:       profWorkers,
+		ProfWorkers:       *profWorkers,
 		DefaultJobTimeout: *jobTimeout,
 		MaxJobTimeout:     *maxJobTimeout,
 		MaxPathsQuota:     *maxPaths,
@@ -228,109 +177,6 @@ func main() {
 	drainErr := srv.Drain(drainCtx)
 	// Shut the listener down after the drain so status polls keep working
 	// while jobs finish.
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelHTTP()
-	httpSrv.Shutdown(httpCtx)
-	if drainErr != nil {
-		logger.Error("drain incomplete", "error", drainErr.Error())
-		os.Exit(1)
-	}
-	logger.Info("drained cleanly")
-}
-
-// splitWorkers turns the -coordinator form of -workers into an address list.
-func splitWorkers(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" && part != "0" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// parseWeights parses -tenant-weights ("alice=3,bob=1.5").
-func parseWeights(s string) (map[string]float64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]float64{}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || strings.TrimSpace(name) == "" {
-			return nil, fmt.Errorf("%q is not name=weight", part)
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("%q: weight must be a positive number", part)
-		}
-		out[strings.TrimSpace(name)] = w
-	}
-	return out, nil
-}
-
-type coordinatorOpts struct {
-	addr         string
-	workers      []string
-	queueDepth   int
-	tenantQuota  int
-	weights      map[string]float64
-	dispatchers  int
-	stealLoad    int
-	cacheCap     int
-	heartbeat    time.Duration
-	drainTimeout time.Duration
-}
-
-// runCoordinator is the -coordinator main loop: same listener and signal
-// lifecycle as the daemon, with the cluster coordinator in place of the
-// engine server.
-func runCoordinator(logger *slog.Logger, opts coordinatorOpts) {
-	if len(opts.workers) == 0 {
-		fmt.Fprintln(os.Stderr, "p4wnd: -coordinator needs -workers addr1,addr2,...")
-		os.Exit(2)
-	}
-	coord, err := cluster.New(cluster.Config{
-		Workers:        opts.workers,
-		TenantQuota:    opts.tenantQuota,
-		QueueDepth:     opts.queueDepth,
-		TenantWeights:  opts.weights,
-		Dispatchers:    opts.dispatchers,
-		CacheCap:       opts.cacheCap,
-		StealLoad:      opts.stealLoad,
-		HeartbeatEvery: opts.heartbeat,
-		Logger:         logger,
-	})
-	if err != nil {
-		logger.Error("start coordinator", "error", err.Error())
-		os.Exit(1)
-	}
-
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		logger.Error("listen", "error", err.Error())
-		os.Exit(1)
-	}
-	httpSrv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			logger.Error("serve http", "error", err.Error())
-			os.Exit(1)
-		}
-	}()
-	logger.Info("coordinating", "addr", "http://"+ln.Addr().String(),
-		"workers", strings.Join(coord.Workers(), ","))
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	<-sigCtx.Done()
-	stop()
-	logger.Info("draining: no new jobs; following in-flight forwards",
-		"bound", opts.drainTimeout.String())
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
-	defer cancel()
-	drainErr := coord.Drain(drainCtx)
 	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelHTTP()
 	httpSrv.Shutdown(httpCtx)

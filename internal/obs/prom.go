@@ -231,32 +231,6 @@ func splitLabelPairs(s string) []string {
 	return out
 }
 
-// Labeled builds a registry metric name carrying a `{k="v",...}` label
-// suffix from alternating key/value arguments, escaping the values so the
-// name round-trips through the exposition parser. It is the safe way to
-// attach runtime-valued labels (shard addresses, tenant names) to a metric:
-//
-//	reg.Counter(obs.Labeled("cluster.forwards", "shard", addr)).Inc()
-//
-// An odd trailing key is dropped rather than emitting a malformed suffix.
-func Labeled(base string, kv ...string) string {
-	if len(kv) < 2 {
-		return base
-	}
-	var b strings.Builder
-	b.WriteString(base)
-	b.WriteByte('{')
-	for i := 0; i+1 < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(kv[i+1])
-		fmt.Fprintf(&b, `%s="%s"`, SanitizeLabelName(kv[i]), v)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 // SanitizeLabelName maps a label name onto [a-zA-Z_][a-zA-Z0-9_]*.
 func SanitizeLabelName(name string) string {
 	var b strings.Builder

@@ -138,56 +138,3 @@ func TestWritePrometheusEmptyRegistry(t *testing.T) {
 		t.Fatalf("empty exposition fails lint: %v", errs)
 	}
 }
-
-func TestLabeled(t *testing.T) {
-	cases := []struct {
-		base string
-		kv   []string
-		want string
-	}{
-		{"cluster.forwards", []string{"shard", "http://127.0.0.1:9101"},
-			`cluster.forwards{shard="http://127.0.0.1:9101"}`},
-		{"cluster.retries", []string{"shard", "a", "tenant", "b"},
-			`cluster.retries{shard="a",tenant="b"}`},
-		{"plain", nil, "plain"},
-		{"odd", []string{"dangling_key"}, "odd"},
-		{"odd.pair", []string{"k", "v", "dangling"}, `odd.pair{k="v"}`},
-		{"esc", []string{"k", `quo"te\slash` + "\nline"}, `esc{k="quo\"te\\slash\nline"}`},
-		{"bad.key", []string{"shard-addr", "x"}, `bad.key{shard_addr="x"}`},
-	}
-	for _, c := range cases {
-		if got := Labeled(c.base, c.kv...); got != c.want {
-			t.Errorf("Labeled(%q, %v) = %q, want %q", c.base, c.kv, got, c.want)
-		}
-	}
-}
-
-// Labeled names must survive the full trip: registry key, exposition
-// writer, and the linter. Two series of one metric share a TYPE block.
-func TestLabeledRendersThroughPrometheus(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter(Labeled("cluster.forwards", "shard", "http://127.0.0.1:9101")).Add(4)
-	reg.Counter(Labeled("cluster.forwards", "shard", "http://127.0.0.1:9102")).Add(2)
-	reg.Counter(Labeled("cluster.quota_rejections", "tenant", "team-a")).Inc()
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`cluster_forwards{shard="http://127.0.0.1:9101"} 4`,
-		`cluster_forwards{shard="http://127.0.0.1:9102"} 2`,
-		`cluster_quota_rejections{tenant="team-a"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Count(out, "# TYPE cluster_forwards counter") != 1 {
-		t.Errorf("labeled series of one metric must share a single TYPE line:\n%s", out)
-	}
-	if errs := LintPrometheus(buf.Bytes()); len(errs) != 0 {
-		t.Fatalf("labeled exposition fails lint: %v", errs)
-	}
-}

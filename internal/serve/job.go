@@ -56,17 +56,12 @@ func newJob(id string, spec JobSpec, now time.Time, replayCap int) *Job {
 		hub:       newHub(replayCap),
 	}
 	j.tracer = obs.NewTracer(j.hub)
-	// A propagated trace ID (the coordinator's, forwarded with the spec)
-	// wins over the derived one, so spans and log lines on both sides of
-	// the forwarding hop share one identifier. Absent that, the trace ID is
-	// the job ID's prefix — deterministic, so retries on another node
-	// produce the same trace identity.
-	j.traceID = spec.TraceID
-	if j.traceID == "" {
-		j.traceID = id
-		if len(j.traceID) > traceIDLen {
-			j.traceID = j.traceID[:traceIDLen]
-		}
+	// The trace ID is the job ID's prefix: deterministic, so resubmitting
+	// the same work — to this daemon or after a restart — produces the same
+	// trace identity.
+	j.traceID = id
+	if len(j.traceID) > traceIDLen {
+		j.traceID = j.traceID[:traceIDLen]
 	}
 	j.tracer.SetTraceID(j.traceID)
 	j.rootCtx, j.root = j.tracer.StartSpanCtx(context.Background(), "job")

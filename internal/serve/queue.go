@@ -39,7 +39,10 @@ func (q *queue) push(j *Job) error {
 		return ErrDraining
 	}
 	if len(q.items) >= q.cap {
-		return ErrQueueFull
+		q.pruneCanceled()
+		if len(q.items) >= q.cap {
+			return ErrQueueFull
+		}
 	}
 	q.seq++
 	j.seq = q.seq
@@ -49,8 +52,9 @@ func (q *queue) push(j *Job) error {
 }
 
 // pop blocks until a job is available or the queue is closed and empty.
-// Jobs canceled while queued are discarded here (their state is already
-// terminal), so cancellation needs no heap surgery.
+// Jobs canceled while queued are discarded here or by a push that finds the
+// queue full (their state is already terminal), so Cancel itself needs no
+// heap surgery.
 func (q *queue) pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -69,6 +73,20 @@ func (q *queue) pop() (*Job, bool) {
 	}
 }
 
+// pruneCanceled drops jobs canceled while queued, so dead entries never
+// hold slots a live submission needs; callers hold q.mu.
+func (q *queue) pruneCanceled() {
+	live := q.items[:0]
+	for _, j := range q.items {
+		if j.State() != StateCanceled {
+			live = append(live, j)
+		}
+	}
+	clear(q.items[len(live):])
+	q.items = live
+	heap.Init(&q.items)
+}
+
 // close stops intake and wakes every waiting worker; queued jobs still pop.
 func (q *queue) close() {
 	q.mu.Lock()
@@ -77,7 +95,8 @@ func (q *queue) close() {
 	q.mu.Unlock()
 }
 
-// depth returns the current queue length (including canceled stragglers).
+// depth returns the current queue length. Jobs canceled while queued count
+// until a pop or a full-queue push discards them.
 func (q *queue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

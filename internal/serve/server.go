@@ -326,7 +326,12 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *Job) {
 	timeout := s.cfg.DefaultJobTimeout
 	if j.Spec.TimeoutSec > 0 {
-		timeout = time.Duration(j.Spec.TimeoutSec * float64(time.Second))
+		// Clamp in float seconds: converting first overflows Duration for
+		// huge requests and yields a negative, instantly expired timeout.
+		timeout = s.cfg.MaxJobTimeout
+		if j.Spec.TimeoutSec < timeout.Seconds() {
+			timeout = time.Duration(j.Spec.TimeoutSec * float64(time.Second))
+		}
 	}
 	if timeout > s.cfg.MaxJobTimeout {
 		timeout = s.cfg.MaxJobTimeout
@@ -352,7 +357,8 @@ func (s *Server) runJob(j *Job) {
 		dur := now.Sub(started)
 		s.reg.Histogram(`serve.job_run_seconds{outcome="`+outcome+`"}`).
 			Observe(dur.Seconds())
-		j.finish(state, errMsg, now)
+		// Log before the transition: anyone woken by the terminal state
+		// then already sees the job's last log line.
 		lg := s.jobLog(j)
 		if errMsg == "" {
 			lg.Info("job finished", "outcome", outcome, "run_sec", dur.Seconds())
@@ -360,6 +366,7 @@ func (s *Server) runJob(j *Job) {
 			lg.Warn("job finished", "outcome", outcome, "run_sec", dur.Seconds(),
 				"error", firstLine(errMsg))
 		}
+		j.finish(state, errMsg, now)
 	}
 
 	defer func() {
@@ -585,7 +592,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleLive)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
@@ -635,45 +641,14 @@ func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is the readiness probe: 200 while accepting submissions, 503
-// once the drain barrier is down. Load balancers and the cluster
-// coordinator stop routing new work on the first 503 while in-flight jobs
-// finish behind it.
+// once the drain barrier is down. Load balancers stop routing new work on
+// the first 503 while in-flight jobs finish behind it.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"state": "draining"})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"state": "serving"})
-}
-
-// Stats snapshots the daemon's load for the coordinator heartbeat.
-func (s *Server) Stats() NodeStats {
-	s.mu.Lock()
-	jobs := len(s.jobs)
-	running := 0
-	for _, j := range s.jobs {
-		if j.State() == StateRunning {
-			running++
-		}
-	}
-	draining := s.draining
-	s.mu.Unlock()
-	st := NodeStats{
-		State:         "serving",
-		QueueDepth:    s.queue.depth(),
-		Running:       running,
-		JobWorkers:    s.cfg.JobWorkers,
-		Jobs:          jobs,
-		StoreResident: s.store.Resident(),
-	}
-	if draining {
-		st.State = "draining"
-	}
-	return st
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -683,11 +658,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{"decode job spec: " + err.Error()})
 		return
-	}
-	// A forwarding coordinator pins the trace identity via header; it wins
-	// over any trace_id in the body (normalize validates either way).
-	if h := r.Header.Get("X-P4wn-Trace-Id"); h != "" {
-		spec.TraceID = h
 	}
 	st, code, err := s.Submit(spec)
 	if err != nil {

@@ -392,6 +392,65 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// Jobs canceled while queued must not hold queue slots: with the queue full
+// of canceled jobs behind a held one, the next submission is accepted.
+func TestCanceledQueuedJobsFreeSlots(t *testing.T) {
+	s := newTestServer(t, Config{JobWorkers: 1, QueueDepth: 2})
+	hold := make(chan struct{})
+	s.testHold = hold
+	// Release the held worker even when the test fails early, so the
+	// server's cleanup does not block on it.
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	src := synGuardSrc(t)
+	spec := func(seed int64) JobSpec {
+		return JobSpec{Source: src, Options: core.WireOptions{Seed: seed}}
+	}
+
+	if _, code, err := s.Submit(spec(1)); code != http.StatusAccepted || err != nil {
+		t.Fatalf("submit 1: code=%d err=%v", code, err)
+	}
+	waitPopped(t, s) // job 1 is on the held worker
+	for seed := int64(2); seed <= 3; seed++ {
+		st, code, err := s.Submit(spec(seed))
+		if code != http.StatusAccepted || err != nil {
+			t.Fatalf("submit %d: code=%d err=%v", seed, code, err)
+		}
+		j, _ := s.Job(st.ID)
+		j.Cancel()
+		waitDone(t, j)
+	}
+	st, code, err := s.Submit(spec(4))
+	if code != http.StatusAccepted || err != nil {
+		t.Fatalf("submit behind canceled jobs: code=%d err=%v, want 202", code, err)
+	}
+	if d := s.queue.depth(); d != 1 {
+		t.Fatalf("queue depth = %d, want 1 (canceled jobs pruned)", d)
+	}
+
+	release()
+	j, _ := s.Job(st.ID)
+	waitDone(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("job 4: %s (%s)", j.State(), j.Status().Error)
+	}
+}
+
+// A timeout too large for time.Duration clamps to MaxJobTimeout instead of
+// overflowing into an already expired deadline.
+func TestHugeJobTimeoutClamps(t *testing.T) {
+	s := newTestServer(t, Config{JobWorkers: 1})
+	st, code, err := s.Submit(JobSpec{Source: synGuardSrc(t), Scale: "quick", TimeoutSec: 1e12})
+	if code != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: code=%d err=%v", code, err)
+	}
+	j, _ := s.Job(st.ID)
+	waitDone(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("state = %s (%s), want done", j.State(), j.Status().Error)
+	}
+}
+
 // Canceling a running job stops the engine mid-run: the context threads
 // down through the profiler's stride checks, the job lands in the canceled
 // state, and nothing is persisted.

@@ -53,17 +53,6 @@ type JobSpec struct {
 	// options, it does not contribute to the job's content address: it
 	// decides whether a result is produced, never what the result is.
 	TimeoutSec float64 `json:"job_timeout_sec,omitempty"`
-	// Tenant names the submitting party for the cluster coordinator's
-	// weighted-fair scheduling and per-tenant quotas. Like Priority it is a
-	// scheduling knob, excluded from the content address: the same work
-	// submitted by two tenants shares one result.
-	Tenant string `json:"tenant,omitempty"`
-	// TraceID, when set, pins the job's trace identifier (16 lowercase hex
-	// characters) instead of deriving it from the job ID. The coordinator
-	// propagates its own trace ID here so worker spans and log lines join
-	// the coordinator's across the forwarding hop. Excluded from the
-	// content address.
-	TraceID string `json:"trace_id,omitempty"`
 }
 
 // Job kinds.
@@ -119,35 +108,13 @@ func (s JobSpec) normalize() (JobSpec, error) {
 	if s.TimeoutSec < 0 {
 		return s, fmt.Errorf("job_timeout_sec must be >= 0")
 	}
-	if s.TraceID != "" && !validTraceID(s.TraceID) {
-		return s, fmt.Errorf("trace_id must be %d lowercase hex characters", traceIDLen)
-	}
 	return s, nil
 }
 
-// validTraceID accepts exactly the 16-lowercase-hex identifiers newJob
-// derives from content addresses.
-func validTraceID(id string) bool {
-	if len(id) != traceIDLen {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Normalize returns the spec's canonical form, validating it along the
-// way. Exported for the cluster coordinator, which must compute the same
-// canonical identity a worker will before routing by it.
+// way: the same form Submit content-addresses and runs, so callers outside
+// the package can reproduce a served job's exact inputs.
 func (s JobSpec) Normalize() (JobSpec, error) { return s.normalize() }
-
-// ID content-addresses a normalized spec (see id). Exported alongside
-// Normalize so the coordinator shards by the exact store key.
-func (s JobSpec) ID() string { return s.id() }
 
 // fingerprint is the canonical identity of a job: exactly the inputs the
 // result bytes depend on. Priority and the job timeout are excluded — they
@@ -212,21 +179,6 @@ type JobStatus struct {
 	StartedAt   string  `json:"started_at,omitempty"`
 	FinishedAt  string  `json:"finished_at,omitempty"`
 	WaitSec     float64 `json:"wait_sec,omitempty"`
-}
-
-// NodeStats is the wire form of one daemon's load snapshot, served at
-// GET /v1/stats. The cluster coordinator's heartbeat loop polls it to
-// drive liveness, steal, and readiness decisions.
-type NodeStats struct {
-	// State is "serving" or "draining"; a draining node still finishes
-	// queued work but must not receive new forwards.
-	State      string `json:"state"`
-	QueueDepth int    `json:"queue_depth"`
-	Running    int    `json:"running"`
-	JobWorkers int    `json:"job_workers"`
-	Jobs       int    `json:"jobs"`
-	// StoreResident is the memory-layer entry count of the result store.
-	StoreResident int `json:"store_resident"`
 }
 
 // errorBody is the JSON error envelope every non-2xx response carries.
