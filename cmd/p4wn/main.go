@@ -11,11 +11,10 @@
 //	p4wn profile -file my_program.p4w
 //
 // Observability flags (profile): -v streams per-iteration trace lines to
-// stderr, -report writes the versioned JSON run report, -metrics-addr serves
-// /metrics + expvar + pprof over HTTP for the duration of the run, and
-// -cpuprofile/-memprofile capture Go runtime profiles. -workers sets the
-// profiler's degree of parallelism (0 selects GOMAXPROCS); the profile is
-// byte-identical for every worker count.
+// stderr, -report writes the versioned JSON run report (including the
+// ranked hot-block table), and -cpuprofile/-memprofile capture Go runtime
+// profiles. -workers sets the profiler's degree of parallelism (0 selects
+// GOMAXPROCS); the profile is byte-identical for every worker count.
 //
 //	p4wn adversarial -prog "Blink (S5)" -target reroute [-out adv.pcap]
 //	p4wn backtest -prog "Blink (S5)" -trace adv.pcap
@@ -332,7 +331,7 @@ func printLeaks(prog *p4wn.Program, res *p4wn.IFCResult) {
 }
 
 func runProfile(args []string) {
-	fs := newFlagSet("profile", "profile (-prog name | -file prog.p4w) [-target model] [-uniform] [-seed n] [-workers n] [-v] [-report out.json] [-hotblocks out.pprof] [-metrics-addr host:port] [-cpuprofile f] [-memprofile f]")
+	fs := newFlagSet("profile", "profile (-prog name | -file prog.p4w) [-target model] [-uniform] [-seed n] [-workers n] [-v] [-report out.json] [-cpuprofile f] [-memprofile f]")
 	progName := fs.String("prog", "", "program name from `p4wn list`")
 	progFile := fs.String("file", "", "mini-language source file (alternative to -prog)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -341,8 +340,6 @@ func runProfile(args []string) {
 	workers := fs.Int("workers", 0, "profiler parallelism; 0 selects GOMAXPROCS")
 	verbose := fs.Bool("v", false, "stream per-iteration trace lines to stderr")
 	reportPath := fs.String("report", "", "write the JSON run report to this path")
-	hotPath := fs.String("hotblocks", "", "write the hot-block exploration profile (pprof format) to this path")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, and pprof on this address for the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a Go CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a Go heap profile to this path")
 	parseFlags(fs, args)
@@ -361,16 +358,6 @@ func runProfile(args []string) {
 	if *verbose {
 		opt.Tracer = obs.NewTracer(os.Stderr)
 	}
-	reg := obs.NewRegistry()
-	opt.Registry = reg
-	if *metricsAddr != "" {
-		addr, closeSrv, err := obs.ServeMetrics(*metricsAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer closeSrv()
-		fmt.Fprintf(os.Stderr, "serving metrics at http://%s/metrics\n", addr)
-	}
 
 	prof, err := p4wn.Profile(prog, oracle, opt)
 	if err != nil {
@@ -387,20 +374,6 @@ func runProfile(args []string) {
 			fatal(err)
 		}
 		fmt.Printf("wrote run report to %s\n", *reportPath)
-	}
-	if *hotPath != "" {
-		f, err := os.Create(*hotPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteHotBlockPprof(f, prog.Name, rep.HotBlocks); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote hot-block profile to %s (inspect with `go tool pprof`)\n", *hotPath)
 	}
 	if err := stopProfiles(); err != nil {
 		fatal(err)

@@ -15,9 +15,11 @@
 //	GET    /v1/jobs/{id}/result stored result JSON (202 while running)
 //	GET    /v1/jobs/{id}/events live progress stream (Server-Sent Events)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
-//	GET    /v1/healthz          serving | draining
-//	GET    /metrics             Prometheus text exposition (+ expvar, pprof)
+//	GET    /healthz             liveness: 200 while the process answers
+//	GET    /readyz              readiness: serving (200) | draining (503)
+//	GET    /metrics             Prometheus text exposition
 //	GET    /debug/trace/{id}    job span tree as Chrome trace_event JSON
+//	GET    /debug/pprof/        Go runtime profiles
 //
 // Logs are structured (log/slog): -log-format selects text or json,
 // -log-level the threshold, and the P4WND_LOG environment variable supplies
@@ -28,8 +30,8 @@
 // SIGTERM/SIGINT drains gracefully: intake stops (submissions get 503),
 // in-flight and queued jobs finish and persist their results, then the
 // process exits 0. A second signal — or -drain-timeout expiring — cancels
-// the remaining jobs and exits nonzero. /healthz and /readyz report
-// liveness and readiness; a draining process fails /readyz first.
+// the remaining jobs and exits nonzero. A draining process fails /readyz
+// while /healthz stays 200.
 package main
 
 import (

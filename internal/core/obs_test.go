@@ -66,38 +66,26 @@ func TestProbProfTimeoutStillSamples(t *testing.T) {
 func TestProbProfTraceAndReport(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
-	reg := obs.NewRegistry()
-	opt := Options{Seed: 1, DisableSampling: true, Tracer: tr, Registry: reg}
+	opt := Options{Seed: 1, DisableSampling: true, Tracer: tr}
 	prof, err := ProbProf(counterProg(t, 8), nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Per-iteration records are always collected and mirror the tracer's.
+	// Per-iteration records are always collected, and the -v output prints
+	// exactly one line per record.
 	if len(prof.Stats.Iters) == 0 || len(prof.Stats.Iters) != prof.Stats.Iterations {
 		t.Fatalf("iteration records = %d, iterations = %d",
 			len(prof.Stats.Iters), prof.Stats.Iterations)
 	}
-	if got := tr.Iterations(); len(got) != len(prof.Stats.Iters) {
-		t.Fatalf("tracer kept %d records, stats %d", len(got), len(prof.Stats.Iters))
-	}
 	out := buf.String()
+	if got := strings.Count(out, "] iter "); got != len(prof.Stats.Iters) {
+		t.Fatalf("-v printed %d iter lines, stats hold %d records", got, len(prof.Stats.Iters))
+	}
 	for _, want := range []string{"probprof start", "iter  0:", "probprof done"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace output missing %q:\n%s", want, out)
 		}
-	}
-
-	// The registry ends up holding the flattened run metrics plus the
-	// solver's process-wide counters via the registered view.
-	snap := reg.Snapshot()
-	for _, key := range []string{"core.iterations", "sym.forks", "mc.queries", "solver.builds"} {
-		if _, ok := snap[key]; !ok {
-			t.Fatalf("registry snapshot missing %q (have %d keys)", key, len(snap))
-		}
-	}
-	if snap["core.iterations"] != float64(prof.Stats.Iterations) {
-		t.Fatalf("core.iterations = %v, want %d", snap["core.iterations"], prof.Stats.Iterations)
 	}
 
 	// Report: schema-valid, stages accounted against wall time.
@@ -127,8 +115,15 @@ func TestProbProfTraceAndReport(t *testing.T) {
 	if rep.Options["max_iters"] != 12 { // defaulted value is recorded
 		t.Fatalf("options not defaulted in report: %v", rep.Options["max_iters"])
 	}
-	if _, ok := rep.Metrics["solver.builds"]; !ok {
-		t.Fatal("report metrics missing solver view")
+	// The report carries the flattened run metrics plus the solver's
+	// process-wide counters.
+	for _, key := range []string{"core.iterations", "sym.forks", "mc.queries", "solver.builds"} {
+		if _, ok := rep.Metrics[key]; !ok {
+			t.Fatalf("report metrics missing %q (have %d keys)", key, len(rep.Metrics))
+		}
+	}
+	if rep.Metrics["core.iterations"] != float64(prof.Stats.Iterations) {
+		t.Fatalf("core.iterations = %v, want %d", rep.Metrics["core.iterations"], prof.Stats.Iterations)
 	}
 }
 
@@ -243,7 +238,7 @@ func TestProbProfObsOffUnchanged(t *testing.T) {
 	}
 	traced, err := ProbProf(prog, nil, Options{
 		Seed: 1, DisableSampling: true,
-		Tracer: obs.NewTracer(nil), Registry: obs.NewRegistry(),
+		Tracer: obs.NewTracer(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +267,7 @@ func BenchmarkProbProfObsOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := ProbProf(prog, nil, Options{
 			Seed: 1, DisableSampling: true,
-			Tracer: obs.NewTracer(nil), Registry: obs.NewRegistry(),
+			Tracer: obs.NewTracer(nil),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -16,22 +16,13 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dist"
-	"repro/internal/greybox"
 	"repro/internal/ir"
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/prob"
-	"repro/internal/solver"
 	"repro/internal/sym"
 	"repro/internal/target"
-)
-
-// solverMetricsView and greyboxMetricsView adapt the process-wide solver
-// and greybox counters to the obs registry's view type.
-var (
-	solverMetricsView  = obs.ViewFunc(solver.MetricsView)
-	greyboxMetricsView = obs.ViewFunc(greybox.MetricsView)
 )
 
 // Options tunes ProbProf. Zero values select the documented defaults.
@@ -97,10 +88,6 @@ type Options struct {
 	// Tracer receives per-iteration records, stage spans, and telescope
 	// decisions. Nil (the default) is a no-op with no per-event allocation.
 	Tracer *obs.Tracer
-	// Registry, when non-nil, is updated once per iteration (and at the
-	// end of the run) with the core/sym/mc metric views plus the
-	// process-wide solver counters, for the -metrics-addr endpoint.
-	Registry *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -243,7 +230,7 @@ func (s *Stats) Stages() map[string]float64 {
 }
 
 // Metrics flattens the run's stats — including the nested engine and
-// counter stats — into the fully-qualified registry/report namespace.
+// counter stats — into the fully-qualified run-report namespace.
 func (s *Stats) Metrics() map[string]float64 {
 	m := map[string]float64{
 		"core.duration_sec":     s.Duration.Seconds(),
@@ -328,9 +315,6 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		ctx = context.Background()
 	}
 	tr := opt.Tracer
-	reg := opt.Registry
-	reg.RegisterView("solver", solverMetricsView)
-	reg.RegisterView("greybox", greyboxMetricsView)
 
 	// Root span of the run: every stage span and pool batch span below
 	// parents into it through the context, so the exported trace renders the
@@ -342,7 +326,6 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	// telescoping, sampling), so its utilization metrics describe the whole
 	// profile rather than one phase.
 	pool := par.New(opt.Workers, tr, "pool")
-	reg.RegisterView("pool", obs.ViewFunc(pool.Metrics))
 
 	numNodes := len(progIn.Nodes())
 	tr.Event("core", "probprof start", obs.F("nodes", float64(numNodes)),
@@ -483,8 +466,8 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		}
 
 		// Per-iteration observability: the record is always collected (it
-		// is bounded by MaxIters and feeds the run report); the tracer and
-		// registry fan-out are nil-safe no-ops by default.
+		// is bounded by MaxIters and feeds the run report); the tracer is a
+		// nil-safe no-op by default.
 		mcStats := counter.Stats()
 		rec.Paths = stepPaths
 		rec.MergedTo = len(paths)
@@ -500,7 +483,7 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		rec.MergeSec = mergeDur.Seconds()
 		stats.Iters = append(stats.Iters, rec)
 		tr.Iteration(rec)
-		// Per-span registry deltas: what this iteration added, not the
+		// Per-span deltas: what this iteration added, not the
 		// cumulative totals the flat metrics carry.
 		iterSpan.Annotate(
 			obs.F("iter", float64(iter)),
@@ -512,12 +495,6 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		)
 		iterSpan.End()
 		prevForks, prevMCQ = rec.Forks, rec.MCQueries
-		if reg != nil {
-			reg.SetAll("sym", engine.Stats.Metrics())
-			reg.SetAll("mc", counter.Metrics())
-			reg.Gauge("core.iterations").Set(float64(stats.Iterations))
-			reg.Gauge("core.live_paths").Set(float64(len(paths)))
-		}
 
 		if stable >= opt.stableRounds() {
 			converged = true
@@ -619,7 +596,6 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		Coverage:  float64(coverage) / math.Max(1, float64(numNodes)),
 		Stats:     stats,
 	}
-	reg.SetAll("", stats.Metrics())
 	tr.Event("core", "probprof done",
 		obs.F("wall_sec", stats.Duration.Seconds()),
 		obs.F("converged", b2f(converged)), obs.F("coverage", pf.Coverage))

@@ -121,12 +121,13 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 	if maxProbePaths > 1<<16 {
 		maxProbePaths = 1 << 16
 	}
+	probeCtx, cancel := context.WithDeadline(ctx, time.Now().Add(probeBudget))
+	defer cancel()
 	engine := sym.NewEngine(progIn, sym.Options{
 		Greybox:  true,
 		MaxPaths: maxProbePaths,
 		Locality: opt.Locality,
-		Deadline: time.Now().Add(probeBudget),
-		Ctx:      ctx,
+		Ctx:      probeCtx,
 		Pool:     pool,
 		Target:   opt.targetModel(),
 	})
@@ -318,7 +319,7 @@ func canonicalConstraint(c solver.Constraint, rename map[string]string) string {
 	var b strings.Builder
 	for _, t := range c.E.Terms {
 		f := t.Var.Field
-		if strings.HasPrefix(f, "__") {
+		if t.Var.Synthetic() {
 			if alias, ok := rename[f]; ok {
 				f = alias
 			} else {

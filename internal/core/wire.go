@@ -8,10 +8,10 @@ import (
 
 // WireOptions is the JSON-marshallable form of Options: every knob that
 // affects the computed profile, and nothing that is runtime plumbing.
-// Context, Tracer, and Registry are attached by whoever executes the run,
-// and Workers is deliberately excluded because profiles are bit-identical
-// for every worker count — two submissions differing only in parallelism
-// must content-address to the same result.
+// Context and Tracer are attached by whoever executes the run, and Workers
+// is deliberately excluded because profiles are bit-identical for every
+// worker count — two submissions differing only in parallelism must
+// content-address to the same result.
 //
 // The field set and JSON keys are shared with the run report's "options"
 // block (see optionsMap), so a stored report always records exactly the

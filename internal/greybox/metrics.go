@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // Process-wide greybox instrumentation. Store objects are cloned per
 // symbolic path, so per-instance counters would vanish with their clones;
-// like the solver's, these counters are package-level atomics exposed to
-// the obs registry as a view.
+// like the solver's, these counters are package-level atomics exposed
+// through MetricsView.
 
 var metrics struct {
 	hashAccesses   atomic.Int64
@@ -15,8 +15,8 @@ var metrics struct {
 	sketchEstimate atomic.Int64
 }
 
-// MetricsView snapshots the package counters for the obs registry
-// (registered under the "greybox" prefix by the profiler).
+// MetricsView snapshots the package counters; the run report publishes
+// them under the "greybox." prefix.
 func MetricsView() map[string]float64 {
 	return map[string]float64{
 		"hash_accesses":    float64(metrics.hashAccesses.Load()),

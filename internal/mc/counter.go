@@ -13,9 +13,7 @@
 package mc
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/dist"
@@ -40,7 +38,7 @@ func (s Stats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(s.Queries)
 }
 
-// Metrics flattens the stats into the registry/report namespace.
+// Metrics flattens the stats into the run-report namespace.
 func (s Stats) Metrics() map[string]float64 {
 	return map[string]float64{
 		"queries":        float64(s.Queries),
@@ -111,7 +109,7 @@ func (c *Counter) Stats() Stats {
 
 // CacheMetrics is the sharded-cache view on its own: shard count, resident
 // entries, and how often a worker found a shard lock held (the contention
-// signal the obs registry and the run report expose).
+// signal the run report exposes).
 func (c *Counter) CacheMetrics() map[string]float64 {
 	m := map[string]float64{"cache_shards": float64(numShards)}
 	if c.cache != nil {
@@ -255,12 +253,12 @@ func components(sys *solver.System) []component {
 // and header fields come from the oracle (uniform over the field width when
 // the oracle has no answer).
 func (c *Counter) distFor(v solver.Var) dist.Dist {
-	if strings.HasPrefix(v.Field, "__") {
+	if v.Synthetic() {
 		dom := c.Space.Domain(v)
 		return dist.UniformRange(dom.Lo, dom.Hi)
 	}
-	if i := strings.LastIndex(v.Field, "&"); i > 0 {
-		return c.maskedDist(v, v.Field[:i], v.Field[i+1:])
+	if base, mask, ok := v.Mask(); ok {
+		return c.maskedDist(v, base, mask)
 	}
 	if d, ok := c.Oracle.FieldDist(v.Field); ok {
 		return d
@@ -270,9 +268,7 @@ func (c *Counter) distFor(v solver.Var) dist.Dist {
 }
 
 // maskedDist computes the distribution of (base & mask).
-func (c *Counter) maskedDist(v solver.Var, base, maskStr string) dist.Dist {
-	var mask uint64
-	fmt.Sscanf(maskStr, "%d", &mask)
+func (c *Counter) maskedDist(v solver.Var, base string, mask uint64) dist.Dist {
 	baseBits, ok := c.Space.FieldBits[base]
 	if !ok {
 		baseBits = 32

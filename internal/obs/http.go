@@ -1,54 +1,29 @@
 package obs
 
 import (
-	"expvar"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"runtime"
 	rtpprof "runtime/pprof"
-	"time"
 )
 
 // Mount registers the observability handlers on an existing mux:
 //
 //	/metrics       Prometheus text exposition (version 0.0.4)
-//	/debug/vars    expvar (including the registry via PublishExpvar)
 //	/debug/pprof/  the standard pprof handlers
 //
-// It is the shared wiring behind ServeMetrics and the p4wnd daemon, which
-// mounts these next to its job API on one listener.
+// The p4wnd daemon mounts these next to its job API on one listener.
 func Mount(mux *http.ServeMux, reg *Registry) {
-	reg.PublishExpvar()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", PrometheusContentType)
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// ServeMetrics starts the observability HTTP endpoint on addr (see Mount
-// for the routes). It returns the bound address (useful with ":0") and a
-// shutdown function. The endpoint is meant for long `monitor`/`backtest`/
-// bench runs; profiling one-shot commands should prefer the
-// -cpuprofile/-memprofile flags.
-func ServeMetrics(addr string, reg *Registry) (string, func() error, error) {
-	mux := http.NewServeMux()
-	Mount(mux, reg)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln)
-	return ln.Addr().String(), srv.Close, nil
 }
 
 // StartProfiles starts a CPU profile and/or arranges a heap profile, per

@@ -1,11 +1,12 @@
 // Package obs is P4wn's observability layer: a low-overhead event/span
-// tracer, a metrics registry unifying the per-subsystem stats structs, an
-// optional expvar/pprof HTTP endpoint, and the versioned JSON run report
-// that p4wnbench and CI diff across revisions.
+// tracer, the metrics registry behind the daemon's /metrics endpoint, and
+// the versioned JSON run report that p4wnbench and CI diff across
+// revisions.
 //
 // Everything is opt-in and nil-safe: a nil *Tracer is a no-op that
-// allocates nothing per event, and a nil *Registry ignores updates, so the
-// profiler hot path pays one predictable branch when observability is off.
+// allocates nothing per event, so the profiler hot path pays one
+// predictable branch when tracing is off, and a nil *Registry ignores
+// updates.
 // The package depends only on the standard library; the rest of the repo
 // imports obs, never the reverse.
 package obs

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,14 +38,13 @@ func BenchmarkNilTracerEvent(b *testing.B) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Iterations() != nil || tr.StageTotals() != nil || tr.Depth() != 0 {
+	if tr.Spans() != nil || tr.DroppedSpans() != 0 || tr.Depth() != 0 {
 		t.Fatal("nil tracer accessors should return zero values")
 	}
 	var reg *Registry
 	reg.Counter("x").Inc()
 	reg.Gauge("y").Set(1)
 	reg.Histogram("z").Observe(1)
-	reg.SetAll("p", map[string]float64{"a": 1})
 	reg.RegisterView("v", func() map[string]float64 { return nil })
 	if len(reg.Snapshot()) != 0 {
 		t.Fatal("nil registry should snapshot empty")
@@ -86,18 +86,20 @@ func TestSpanNesting(t *testing.T) {
 		t.Fatalf("depth after ends = %d, want 0", tr.Depth())
 	}
 
-	stages := tr.StageTotals()
-	if stages["outer"] < stages["inner"] {
-		t.Fatalf("outer (%v) should contain inner (%v)", stages["outer"], stages["inner"])
+	spans := tr.Spans()
+	if len(spans) != 2 || spans[0].Name != "outer" || spans[1].Name != "inner" {
+		t.Fatalf("spans = %+v, want [outer inner]", spans)
+	}
+	if spans[1].Parent != 0 {
+		t.Fatalf("StartSpan opens root-level spans, inner has parent %d", spans[1].Parent)
+	}
+	if spans[0].Dur < spans[1].Dur {
+		t.Fatalf("outer (%v) should contain inner (%v)", spans[0].Dur, spans[1].Dur)
 	}
 	out := buf.String()
 	// The event inside two open spans is indented two levels.
 	if !strings.Contains(out, "    sym: probe paths=4") {
 		t.Fatalf("missing indented event line in:\n%s", out)
-	}
-	events, spans := tr.Counts()
-	if events != 1 || spans != 2 {
-		t.Fatalf("counts = (%d events, %d spans), want (1, 2)", events, spans)
 	}
 }
 
@@ -105,8 +107,8 @@ func TestTracerIterationLine(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.Iteration(IterationRecord{Iter: 3, Paths: 40, MergedTo: 9, MaxDiff: 1e-5})
-	if got := len(tr.Iterations()); got != 1 {
-		t.Fatalf("iterations = %d, want 1", got)
+	if n := strings.Count(buf.String(), "\n"); n != 1 {
+		t.Fatalf("want exactly one line, got %d: %q", n, buf.String())
 	}
 	if !strings.Contains(buf.String(), "iter  3: paths=40 merged=9") {
 		t.Fatalf("bad iteration line: %q", buf.String())
@@ -129,7 +131,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				reg.Gauge("last").Set(float64(i))
 				reg.Histogram("lat").Observe(float64(i%10) * 1e-4)
 				if i%100 == 0 {
-					reg.SetAll("bulk", map[string]float64{"x": float64(i)})
+					reg.Gauge("bulk.x").Set(float64(i))
 				}
 			}
 		}(w)
@@ -142,7 +144,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				return
 			default:
 				reg.Snapshot()
-				reg.Render()
+				reg.WritePrometheus(io.Discard)
 			}
 		}
 	}()

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -159,8 +156,8 @@ func (h *Histogram) Buckets() (bounds []float64, cumulative []int64) {
 }
 
 // ViewFunc snapshots an external stats source into a flat name->value map.
-// Views are how the per-subsystem stats structs (core/sym/mc/solver) appear
-// in the registry without being rewritten onto atomic primitives.
+// Views are how stats kept elsewhere (the daemon's store and queue state)
+// appear in the registry without being rewritten onto atomic primitives.
 type ViewFunc func() map[string]float64
 
 // Registry is a named collection of counters, gauges, histograms, and
@@ -254,27 +251,12 @@ func (r *Registry) RegisterView(name string, view ViewFunc) {
 	r.mu.Unlock()
 }
 
-// SetAll stores every entry of vals as a gauge named "<prefix>.<key>"
-// (bare "<key>" when prefix is empty) — the bulk form used to publish a
-// Stats.Metrics() map once per iteration.
-func (r *Registry) SetAll(prefix string, vals map[string]float64) {
-	if r == nil {
-		return
-	}
-	if prefix != "" {
-		prefix += "."
-	}
-	for k, v := range vals {
-		r.Gauge(prefix + k).Set(v)
-	}
-}
-
 // Snapshot flattens the registry into a single map: counters and gauges by
 // name, histograms as .count/.sum/.p50/.p99, and each view's keys under its
 // prefix. Entries are applied in a fixed layering — counters, then gauges,
-// then histograms, then views in sorted name order — so when names collide
-// (a SetAll gauge shadowing a live view, say) the winner is deterministic:
-// later layers and later-sorted names overwrite earlier ones.
+// then histograms, then views in sorted name order — so a name present in
+// two layers always resolves the same way: later layers overwrite earlier
+// ones.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return map[string]float64{}
@@ -329,34 +311,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Render returns the snapshot as sorted "name value" lines (the /metrics
-// plain-text format).
-func (r *Registry) Render() string {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s %g\n", k, snap[k])
-	}
-	return b.String()
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the registry's snapshot as the expvar variable
-// "p4wn" (visible at /debug/vars). Safe to call more than once; only the
-// first registry wins, matching expvar's global-namespace semantics.
-func (r *Registry) PublishExpvar() {
-	if r == nil {
-		return
-	}
-	expvarOnce.Do(func() {
-		expvar.Publish("p4wn", expvar.Func(func() any { return r.Snapshot() }))
-	})
 }

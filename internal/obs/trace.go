@@ -11,8 +11,8 @@ import (
 
 // maxSpanRecords bounds the per-tracer span tree. A runaway run (millions
 // of pool batches) must not hold the whole tree in memory; past the cap,
-// spans still time their stage totals but stop being recorded, and the
-// tracer counts how many were dropped.
+// spans still time themselves and print their -v line but stop being
+// recorded, and the tracer counts how many were dropped.
 const maxSpanRecords = 1 << 16
 
 // SpanRecord is one completed (or still-open) span in the tracer's span
@@ -28,26 +28,21 @@ type SpanRecord struct {
 	Open   bool // still running when the tree was read
 }
 
-// Tracer records structured events, spans, and per-iteration profiler
-// records. A nil *Tracer is the default and is a complete no-op; every
-// method checks the receiver first, so instrumented code never branches on
-// "is tracing enabled" itself.
+// Tracer records structured events and spans. A nil *Tracer is the
+// default and is a complete no-op; every method checks the receiver first,
+// so instrumented code never branches on "is tracing enabled" itself.
 //
-// When constructed with a non-nil writer, each event and span end is also
-// rendered as one indented text line (the `p4wn profile -v` output).
-// Regardless of the writer, the tracer retains iteration records,
-// accumulates per-stage wall time for the run report, and keeps a bounded
-// span tree (parent/child links plus attributes) exportable as Chrome
-// trace_event JSON via WriteChromeTrace.
+// When constructed with a non-nil writer, each event, span end and
+// profiler iteration is also rendered as one indented text line (the
+// `p4wn profile -v` output). Regardless of the writer, the tracer keeps a
+// bounded span tree (parent/child links plus attributes) exportable as
+// Chrome trace_event JSON via WriteChromeTrace. Stage times and iteration
+// records live in the profiler's Stats, not here.
 type Tracer struct {
 	mu      sync.Mutex
 	w       io.Writer
 	start   time.Time
 	depth   int
-	stages  map[string]time.Duration
-	iters   []IterationRecord
-	events  int
-	spans   int
 	traceID string
 
 	// span tree
@@ -61,10 +56,10 @@ type Tracer struct {
 	clock func() time.Time
 }
 
-// NewTracer builds a tracer. w may be nil to collect silently (records and
-// stage totals only, no text output).
+// NewTracer builds a tracer. w may be nil to collect silently (span tree
+// only, no text output).
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, start: time.Now(), stages: map[string]time.Duration{}}
+	return &Tracer{w: w, start: time.Now()}
 }
 
 func (t *Tracer) now() time.Time {
@@ -98,14 +93,11 @@ func (t *Tracer) TraceID() string {
 // Event emits one structured event. Nil-safe and allocation-free when the
 // tracer is nil (the variadic slice stays on the caller's stack).
 func (t *Tracer) Event(scope, msg string, fields ...Field) {
-	if t == nil {
+	if t == nil || t.w == nil {
 		return
 	}
 	t.mu.Lock()
-	t.events++
-	if t.w != nil {
-		t.line(scope, msg, fields)
-	}
+	t.line(scope, msg, fields)
 	t.mu.Unlock()
 }
 
@@ -151,8 +143,7 @@ func SpanFromContext(ctx context.Context) Span {
 	return s
 }
 
-// StartSpan opens a named root-level span. Stage wall time accumulates
-// under the span name when the span ends, and nested spans indent the -v
+// StartSpan opens a named root-level span. Nested spans indent the -v
 // output.
 func (t *Tracer) StartSpan(name string) Span {
 	return t.startSpan(name, 0)
@@ -180,7 +171,6 @@ func (t *Tracer) startSpan(name string, parent uint64) Span {
 	}
 	start := t.now()
 	t.mu.Lock()
-	t.spans++
 	t.depth++
 	t.nextSpan++
 	id := t.nextSpan
@@ -223,7 +213,6 @@ func (s Span) End() time.Duration {
 	}
 	d := s.t.now().Sub(s.start)
 	s.t.mu.Lock()
-	s.t.stages[s.name] += d
 	if s.t.depth > 0 {
 		s.t.depth--
 	}
@@ -286,56 +275,19 @@ type IterationRecord struct {
 	MergeSec    float64 `json:"merge_sec"`
 }
 
-// Iteration records one profiler iteration and, with a writer attached,
-// prints it as a single trace line.
+// Iteration prints one profiler iteration as a single trace line when a
+// writer is attached; the record itself is kept in the profiler's Stats.
 func (t *Tracer) Iteration(rec IterationRecord) {
-	if t == nil {
+	if t == nil || t.w == nil {
 		return
 	}
 	t.mu.Lock()
-	t.iters = append(t.iters, rec)
-	if t.w != nil {
-		fmt.Fprintf(t.w,
-			"[%8.3fs] iter %2d: paths=%d merged=%d forks=%d cons=%d maxdiff=%.2e stable=%d mc(q=%d hit=%.0f%%) sym=%.3fs update=%.3fs merge=%.3fs\n",
-			t.now().Sub(t.start).Seconds(), rec.Iter, rec.Paths, rec.MergedTo,
-			rec.Forks, rec.Constraints, rec.MaxDiff, rec.Stable,
-			rec.MCQueries, rec.MCHitRate*100, rec.SymSec, rec.UpdateSec, rec.MergeSec)
-	}
+	fmt.Fprintf(t.w,
+		"[%8.3fs] iter %2d: paths=%d merged=%d forks=%d cons=%d maxdiff=%.2e stable=%d mc(q=%d hit=%.0f%%) sym=%.3fs update=%.3fs merge=%.3fs\n",
+		t.now().Sub(t.start).Seconds(), rec.Iter, rec.Paths, rec.MergedTo,
+		rec.Forks, rec.Constraints, rec.MaxDiff, rec.Stable,
+		rec.MCQueries, rec.MCHitRate*100, rec.SymSec, rec.UpdateSec, rec.MergeSec)
 	t.mu.Unlock()
-}
-
-// Iterations returns a copy of the recorded iteration trajectory.
-func (t *Tracer) Iterations() []IterationRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]IterationRecord(nil), t.iters...)
-}
-
-// StageTotals returns accumulated span wall time per stage name, in seconds.
-func (t *Tracer) StageTotals() map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]float64, len(t.stages))
-	for k, d := range t.stages {
-		out[k] = d.Seconds()
-	}
-	return out
-}
-
-// Counts returns how many events and spans were recorded.
-func (t *Tracer) Counts() (events, spans int) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events, t.spans
 }
 
 // Depth returns the current span nesting depth (for tests).

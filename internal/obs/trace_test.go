@@ -142,10 +142,6 @@ func TestSpanRecordCap(t *testing.T) {
 	if got := tr.DroppedSpans(); got != 10 {
 		t.Fatalf("dropped %d spans, want 10", got)
 	}
-	// Stage totals still accumulate past the cap.
-	if tr.StageTotals()["s"] <= 0 {
-		t.Fatal("stage totals stopped accumulating past the span cap")
-	}
 }
 
 // The golden Chrome export: a scripted clock makes every timestamp exact,

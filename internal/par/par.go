@@ -187,7 +187,7 @@ func (p *Pool) runInline(ctx context.Context, n int, fn func(int) error) error {
 	return nil
 }
 
-// Metrics snapshots the pool for the obs registry: worker count, batches,
+// Metrics snapshots the pool for the run report: worker count, batches,
 // tasks, cumulative wall seconds, and per-worker utilization (busy time over
 // pool wall time).
 func (p *Pool) Metrics() map[string]float64 {

@@ -355,7 +355,7 @@ func (s *Server) runJob(j *Job) {
 	finish := func(state JobState, errMsg, outcome string) {
 		now := time.Now()
 		dur := now.Sub(started)
-		s.reg.Histogram(`serve.job_run_seconds{outcome="`+outcome+`"}`).
+		s.reg.Histogram(`serve.job_run_seconds{outcome="` + outcome + `"}`).
 			Observe(dur.Seconds())
 		// Log before the transition: anyone woken by the terminal state
 		// then already sees the job's last log line.
@@ -586,12 +586,11 @@ func (s *Server) Close() {
 }
 
 // Handler returns the service mux: the job API plus the observability
-// endpoints (/metrics, expvar, pprof) on the same listener.
+// endpoints (/metrics, pprof) on the same listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleLive)
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
@@ -623,14 +622,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	state := "serving"
-	if s.Draining() {
-		state = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"state": state})
 }
 
 // handleLive is the liveness probe: 200 for as long as the process can

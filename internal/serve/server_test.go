@@ -628,8 +628,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 		return resp, buf.Bytes()
 	}
 
-	if resp, body := get("/v1/healthz"); resp.StatusCode != 200 || !strings.Contains(string(body), "serving") {
-		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
+	if resp, body := get("/readyz"); resp.StatusCode != 200 || !strings.Contains(string(body), "serving") {
+		t.Fatalf("readyz: %d %s", resp.StatusCode, body)
 	}
 
 	spec := JobSpec{Source: synGuardSrc(t), Scale: "quick"}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -331,5 +332,32 @@ func TestFeasibleNeverRejectsSAT(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The derived-variable encoding round-trips: MaskedVar's field string is
+// the one every consumer has always seen, Mask recovers base and mask, and
+// synthetic or plain variables never decode as masked.
+func TestMaskedVarRoundTrip(t *testing.T) {
+	for _, mask := range []uint64{0, 18, 1<<64 - 1} {
+		mv := MaskedVar(v(2, "tcp_flags"), mask)
+		if want := fmt.Sprintf("tcp_flags&%d", mask); mv.Pkt != 2 || mv.Field != want {
+			t.Fatalf("MaskedVar = %+v, want p2.%s", mv, want)
+		}
+		base, got, ok := mv.Mask()
+		if !ok || base != "tcp_flags" || got != mask {
+			t.Fatalf("Mask(%v) = (%q, %d, %v)", mv, base, got, ok)
+		}
+		if mv.Synthetic() {
+			t.Fatalf("%v reported synthetic", mv)
+		}
+	}
+	for _, x := range []Var{v(0, "tcp_flags"), v(0, "__h0_1"), v(0, "__h0&3"), v(0, "&3"), v(0, "a&x")} {
+		if _, _, ok := x.Mask(); ok {
+			t.Fatalf("%v decoded as masked", x)
+		}
+	}
+	if !v(0, "__h0_1").Synthetic() || v(0, "ttl").Synthetic() {
+		t.Fatal("Synthetic misclassifies")
 	}
 }

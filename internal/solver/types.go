@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -21,15 +22,45 @@ import (
 )
 
 // Var identifies one symbolic variable: header field Field of the Pkt-th
-// packet in the symbolic sequence. Havoc variables (fresh unknowns created
-// for hash outputs) use synthetic field names and carry explicit domains in
-// the Space.
+// packet in the symbolic sequence. Two kinds of derived variables encode
+// themselves in Field, and this package owns that encoding:
+//
+//   - synthetic variables (havoc outputs of hashes, table entries, arrays)
+//     have a "__"-prefixed field and carry explicit domains in the Space;
+//   - masked variables stand for (base & mask) and are named
+//     "<base>&<mask>" with the mask in decimal, e.g. "tcp_flags&18".
 type Var struct {
 	Pkt   int
 	Field string
 }
 
 func (v Var) String() string { return fmt.Sprintf("p%d.%s", v.Pkt, v.Field) }
+
+// MaskedVar returns the derived variable for (base & mask).
+func MaskedVar(base Var, mask uint64) Var {
+	return Var{Pkt: base.Pkt, Field: base.Field + "&" + strconv.FormatUint(mask, 10)}
+}
+
+// Synthetic reports whether v is a synthetic variable ("__"-prefixed field)
+// rather than a header field or a mask of one.
+func (v Var) Synthetic() bool { return strings.HasPrefix(v.Field, "__") }
+
+// Mask decodes a masked variable built by MaskedVar into its base field
+// name and mask. ok is false for synthetic and plain variables.
+func (v Var) Mask() (base string, mask uint64, ok bool) {
+	if v.Synthetic() {
+		return "", 0, false
+	}
+	i := strings.LastIndexByte(v.Field, '&')
+	if i <= 0 {
+		return "", 0, false
+	}
+	mask, err := strconv.ParseUint(v.Field[i+1:], 10, 64)
+	if err != nil {
+		return "", 0, false
+	}
+	return v.Field[:i], mask, true
+}
 
 // Less orders variables deterministically.
 func (v Var) Less(o Var) bool {

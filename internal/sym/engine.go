@@ -3,7 +3,6 @@ package sym
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,8 +32,6 @@ type Options struct {
 	Merge bool
 	// MaxPaths bounds the live path count (0 = 1<<20).
 	MaxPaths int
-	// Deadline bounds wall-clock time (zero = none).
-	Deadline time.Time
 	// FeasibilityCheck prunes infeasible forks eagerly (default on; the
 	// NoFeasibilityCheck flag flips it for ablation).
 	NoFeasibilityCheck bool
@@ -55,9 +52,9 @@ type Options struct {
 	// is exactly zero, so no mass is lost. The engine takes a plain ID set
 	// rather than an analysis type to keep the packages decoupled.
 	Dead map[int]bool
-	// Ctx cancels exploration mid-step: it is checked at every fork point
-	// (alongside Deadline), so a path-explosion step cannot overshoot the
-	// caller's budget. Nil means no cancellation.
+	// Ctx cancels exploration mid-step: it is checked at every fork point,
+	// so a path-explosion step cannot overshoot the caller's budget. A
+	// wall-clock bound is a context.WithDeadline. Nil means no cancellation.
 	Ctx context.Context
 	// Tracer receives per-step events; nil (the default) is a no-op.
 	Tracer *obs.Tracer
@@ -88,7 +85,7 @@ type Stats struct {
 	GreyArms       int // greybox data-store arms taken (weighted forks)
 }
 
-// Metrics flattens the stats into the registry/report namespace.
+// Metrics flattens the stats into the run-report namespace.
 func (s Stats) Metrics() map[string]float64 {
 	return map[string]float64{
 		"forks":            float64(s.Forks),
@@ -306,16 +303,13 @@ func (e *Engine) checkBudget(local int) error {
 		default:
 		}
 	}
-	if !e.Opts.Deadline.IsZero() && time.Now().After(e.Opts.Deadline) {
-		return ErrBudget
-	}
 	return nil
 }
 
 // tickBudget is the stride-based budget check for fork-free hot loops
 // (greybox store updates, baseline aliasing scans): every 64th call runs the
-// full deadline/cancellation check, so a step that grows no paths — and thus
-// never reaches a fork-point check — still honors the Deadline.
+// full budget/cancellation check, so a step that grows no paths — and thus
+// never reaches a fork-point check — still honors the context's deadline.
 func (e *Engine) tickBudget(local int) error {
 	e.tick++
 	if e.tick%64 != 0 {
@@ -342,7 +336,7 @@ func (e *Engine) havoc(pkt int, dom solver.Interval) Value {
 // model counter understands natively; it is reused across references so
 // that repeated tests of the same flag bits correlate correctly.
 func (e *Engine) maskedFieldVar(base solver.Var, mask uint64) Value {
-	v := solver.Var{Pkt: base.Pkt, Field: fmt.Sprintf("%s&%d", base.Field, mask)}
+	v := solver.MaskedVar(base, mask)
 	e.Space.SetDomain(v, solver.Interval{Lo: 0, Hi: mask})
 	return LinVal(solver.VarExpr(v))
 }

@@ -381,7 +381,7 @@ func (e *Engine) sketch(p *Path, name string) *greybox.SketchStore {
 
 func (e *Engine) execSketchUpdateGrey(p *Path, s *ir.SketchUpdate, pkt int) ([]*Path, error) {
 	// Fork-free statement: the stride check is the only budget touchpoint a
-	// long run of sketch updates ever hits (see Options.Deadline).
+	// long run of sketch updates ever hits (see Options.Ctx).
 	if err := e.tickBudget(0); err != nil {
 		return nil, err
 	}

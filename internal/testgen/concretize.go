@@ -2,8 +2,6 @@ package testgen
 
 import (
 	"context"
-	"strconv"
-	"strings"
 
 	"repro/internal/dut"
 	"repro/internal/ir"
@@ -31,13 +29,8 @@ func solvePhase(ctx context.Context, prog *ir.Program, plan *pathPlan, seed int6
 	// Masked derived variables ("tcp_flags&18") constrain bits of their
 	// base field; overlay them after direct assignments.
 	for v, val := range asn {
-		idx := strings.LastIndex(v.Field, "&")
-		if idx <= 0 || strings.HasPrefix(v.Field, "__") {
-			continue
-		}
-		base := v.Field[:idx]
-		mask, err := strconv.ParseUint(v.Field[idx+1:], 10, 64)
-		if err != nil || v.Pkt < 0 || v.Pkt >= len(pkts) {
+		base, mask, ok := v.Mask()
+		if !ok || v.Pkt < 0 || v.Pkt >= len(pkts) {
 			continue
 		}
 		cur, _ := pkts[v.Pkt].Field(base)

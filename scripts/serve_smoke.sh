@@ -39,11 +39,11 @@ echo "== start daemon on $ADDR"
 "$WORK/p4wnd" -addr "$ADDR" -store "$WORK/store" &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do
-  curl -fs "$BASE/v1/healthz" >/dev/null 2>&1 && break
+  curl -fs "$BASE/readyz" >/dev/null 2>&1 && break
   kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died during startup"
   sleep 0.1
 done
-curl -fs "$BASE/v1/healthz" | grep -q serving || fail "daemon not healthy"
+curl -fs "$BASE/readyz" | grep -q serving || fail "daemon not ready"
 
 echo "== liveness and readiness probes"
 [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")" = "200" ] \
