@@ -261,7 +261,6 @@ func benchCounter(b *testing.B, forceMC bool) {
 	for i := 0; i < b.N; i++ {
 		c := mc.NewCounter(space, nil)
 		c.ForceMC = forceMC
-		c.MCSamples = 5000
 		c.Seed = int64(i)
 		_ = c.ProbOf(cs)
 	}
@@ -307,7 +306,6 @@ func BenchmarkSolverSolve(b *testing.B) {
 func BenchmarkModelCount(b *testing.B) {
 	space := solver.NewSpace(ir.StdFields)
 	c := mc.NewCounter(space, nil)
-	c.DisableCache = true
 	cs := []solver.Constraint{
 		solver.NewCmp(ir.CmpLe,
 			solver.VarExpr(solver.Var{Pkt: 0, Field: "src_port"}),
@@ -315,7 +313,7 @@ func BenchmarkModelCount(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.ProbOf(cs)
+		_ = c.ProbOfSystem(solver.Build(cs, space))
 	}
 }
 

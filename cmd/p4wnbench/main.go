@@ -75,15 +75,8 @@ func main() {
 	workersSweep := flag.Bool("workers-sweep", false, "run the worker-scaling sweep instead of the experiment list")
 	flag.Parse()
 
-	var cfg eval.Config
-	switch *scale {
-	case "quick":
-		cfg = eval.Quick()
-	case "default":
-		cfg = eval.DefaultConfig()
-	case "full":
-		cfg = eval.Full()
-	default:
+	cfg, ok := eval.Preset(*scale)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "p4wnbench: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}

@@ -110,18 +110,18 @@ func evalBin(e *env, b ir.Bin) solver.Interval {
 			return solver.Interval{Lo: a.Lo - c.Hi, Hi: a.Hi - c.Lo}
 		}
 	case ir.OpMul:
-		if hiA, hiB := a.Hi, c.Hi; hiA == 0 || hiB <= math.MaxUint64/max64(hiA, 1) {
+		if hiA, hiB := a.Hi, c.Hi; hiA == 0 || hiB <= math.MaxUint64/max(hiA, 1) {
 			return solver.Interval{Lo: a.Lo * c.Lo, Hi: a.Hi * c.Hi}
 		}
 	case ir.OpAnd:
 		// x & y never exceeds either operand.
-		return solver.Interval{Lo: 0, Hi: min64(a.Hi, c.Hi)}
+		return solver.Interval{Lo: 0, Hi: min(a.Hi, c.Hi)}
 	case ir.OpOr:
 		// x | y < 2^max(width(x), width(y)) and is at least max(lo).
-		n := max64(uint64(bits.Len64(a.Hi)), uint64(bits.Len64(c.Hi)))
-		return solver.Interval{Lo: max64(a.Lo, c.Lo), Hi: maskOfLen(int(n))}
+		n := max(uint64(bits.Len64(a.Hi)), uint64(bits.Len64(c.Hi)))
+		return solver.Interval{Lo: max(a.Lo, c.Lo), Hi: maskOfLen(int(n))}
 	case ir.OpXor:
-		n := max64(uint64(bits.Len64(a.Hi)), uint64(bits.Len64(c.Hi)))
+		n := max(uint64(bits.Len64(a.Hi)), uint64(bits.Len64(c.Hi)))
 		return solver.Interval{Lo: 0, Hi: maskOfLen(int(n))}
 	case ir.OpMod:
 		if cv, ok := isSingle(c); ok && cv > 0 {
@@ -178,20 +178,6 @@ func maskOfLen(n int) uint64 {
 		return math.MaxUint64
 	}
 	return (uint64(1) << uint(n)) - 1
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---- three-valued condition evaluation ----

@@ -191,7 +191,7 @@ func TestTelescopeWithTraceOracle(t *testing.T) {
 	}
 	prog := p.MustBuild()
 	oracle := dist.NewProfile().SetPairEq("seq", 0.02)
-	prof, err := ProbProf(prog, oracle, Options{Seed: 1, MaxIters: 6, Gamma: 6, DisableSampling: true})
+	prof, err := ProbProf(prog, oracle, Options{Seed: 1, MaxIters: 6, DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,11 +131,8 @@ func constOr1(e ir.Expr) uint64 {
 // from the main loop's per-block probabilities. Store counters are
 // per-key: a given flow's counter advances only when *that flow's* packet
 // executes the update, so the per-packet advance probability is the update
-// block's probability times the key-repeat (locality) factor.
-func distGuardEstimates(p *ir.Program, locality float64, blockProb func(id int) (prob.P, bool)) map[int]prob.P {
-	if locality <= 0 || locality > 1 {
-		locality = greybox.DefaultLocality
-	}
+// block's probability times the key-repeat factor greybox.DefaultLocality.
+func distGuardEstimates(p *ir.Program, blockProb func(id int) (prob.P, bool)) map[int]prob.P {
 	out := map[int]prob.P{}
 	for _, g := range findDistGuards(p) {
 		if g.UpdateBlock == nil {
@@ -158,7 +155,7 @@ func distGuardEstimates(p *ir.Program, locality float64, blockProb func(id int) 
 				continue
 			}
 			rept := (need + g.Inc - 1) / g.Inc
-			est = q.Mul(prob.FromFloat(locality)).Pow(float64(rept))
+			est = q.Mul(prob.FromFloat(greybox.DefaultLocality)).Pow(float64(rept))
 		}
 		for _, blk := range ir.Blocks(g.Node) {
 			if cur, has := out[blk.ID]; has {

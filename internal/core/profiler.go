@@ -26,17 +26,17 @@ import (
 )
 
 // Options tunes ProbProf. Zero values select the documented defaults.
+//
+// The paper's remaining ProbProf parameters are fixed: α = 0.99 is the
+// stableRounds constant, γ = 4 is the telescoping probe length probeLen, and
+// δ (the sampling growth factor) is not modelled: the sampling phase
+// draws SampleBudget packets in one pass. State merging is always on; the
+// merging ablation runs the engine directly with sym.Options.Merge off.
+// Greybox stores use greybox.DefaultLocality.
 type Options struct {
-	// Alpha is the confidence level for convergence (default 0.99): it
-	// maps to the number of consecutive stable rounds required.
-	Alpha float64
 	// Epsilon is the convergence error bound on per-block probabilities
 	// (default 1e-4).
 	Epsilon float64
-	// Gamma is the telescoping probe length in packets (default 4).
-	Gamma int
-	// Delta is the sampling-phase growth factor (default 4; reserved).
-	Delta int
 	// MaxIters bounds the main loop's symbolic sequence length (default 12).
 	MaxIters int
 	// Timeout bounds the main symbolic loop before the sampling phase
@@ -48,11 +48,8 @@ type Options struct {
 	// MaxPaths bounds live symbolic paths (default 200000).
 	MaxPaths int
 
-	// Telescope enables deep-block telescoping (default on; DisableTelescope
-	// flips it for the ablation).
+	// DisableTelescope turns off deep-block telescoping (ablation).
 	DisableTelescope bool
-	// DisableMerge turns off state merging (ablation).
-	DisableMerge bool
 	// DisableSampling turns off the concrete sampling fallback.
 	DisableSampling bool
 	// DisablePrune turns off static dead-branch pruning (repo-over-paper
@@ -62,8 +59,6 @@ type Options struct {
 	// time, and the engine discards paths before forking into them.
 	DisablePrune bool
 
-	// Locality overrides greybox key locality.
-	Locality float64
 	// Target names the device model to profile against (see
 	// internal/target): "idealized" (the default), "tofino", or "ebpf".
 	// The model parameterizes the symbolic engine, telescoping, and the
@@ -90,18 +85,13 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// stableRounds is the number of consecutive ε-stable rounds required before
+// the profile is declared converged: the paper's confidence level α = 0.99.
+const stableRounds = 3
+
 func (o Options) withDefaults() Options {
-	if o.Alpha == 0 {
-		o.Alpha = 0.99
-	}
 	if o.Epsilon == 0 {
 		o.Epsilon = 1e-4
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 4
-	}
-	if o.Delta == 0 {
-		o.Delta = 4
 	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 12
@@ -130,19 +120,6 @@ func (o Options) targetModel() *target.Model {
 		return target.Idealized
 	}
 	return m
-}
-
-// stableRounds maps the confidence level to the number of consecutive
-// ε-stable rounds required before the profile is declared converged.
-func (o Options) stableRounds() int {
-	switch {
-	case o.Alpha >= 0.999:
-		return 4
-	case o.Alpha >= 0.99:
-		return 3
-	default:
-		return 2
-	}
 }
 
 // Source tags how a node's probability estimate was obtained.
@@ -301,6 +278,9 @@ func (pf *Profile) Ranking() []int {
 // ProbProf profiles a program against a traffic oracle (nil = uniform
 // header space). This is the paper's main algorithm.
 func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, error) {
+	if err := WireFromOptions(optIn).Validate(); err != nil {
+		return nil, err
+	}
 	opt := optIn.withDefaults()
 	tgt, err := target.Lookup(opt.Target)
 	if err != nil {
@@ -368,10 +348,9 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	defer cancelSym()
 	engine := sym.NewEngine(progIn, sym.Options{
 		Greybox:  true,
-		Merge:    !opt.DisableMerge,
+		Merge:    true,
 		MaxPaths: opt.MaxPaths,
 		Ctx:      symCtx,
-		Locality: opt.Locality,
 		Dead:     dead,
 		Tracer:   tr,
 		Workers:  opt.Workers,
@@ -444,19 +423,16 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 				everSeen[i] = true
 			}
 		}
-		var mergeDur time.Duration
-		if !opt.DisableMerge {
-			mergeStart := time.Now()
-			merged, mErr := sym.MergePool(iterCtx, paths, counter, pool)
-			mergeDur = time.Since(mergeStart)
-			stats.MergeTime += mergeDur
-			if mErr != nil {
-				symErr = sym.ErrBudget
-				iterSpan.End()
-				break
-			}
-			paths = merged
+		mergeStart := time.Now()
+		merged, mErr := sym.MergePool(iterCtx, paths, counter, pool)
+		mergeDur := time.Since(mergeStart)
+		stats.MergeTime += mergeDur
+		if mErr != nil {
+			symErr = sym.ErrBudget
+			iterSpan.End()
+			break
 		}
+		paths = merged
 
 		md := maxDiffExcluding(cur, prev, teleEst)
 		if iter > 0 && md < opt.Epsilon {
@@ -496,7 +472,7 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 		iterSpan.End()
 		prevForks, prevMCQ = rec.Forks, rec.MCQueries
 
-		if stable >= opt.stableRounds() {
+		if stable >= stableRounds {
 			converged = true
 			break
 		}
@@ -514,7 +490,7 @@ func ProbProf(progIn *ir.Program, oracle dist.Oracle, optIn Options) (*Profile, 
 	// hash-table flow counters, generalized from the measured update-block
 	// probabilities (see distguard.go).
 	finStart := time.Now()
-	distEst := distGuardEstimates(progIn, opt.Locality, func(id int) (prob.P, bool) {
+	distEst := distGuardEstimates(progIn, func(id int) (prob.P, bool) {
 		if id < numNodes && everSeen[id] {
 			return best[id], true
 		}

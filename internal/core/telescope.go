@@ -87,6 +87,10 @@ func (g Guard) RepetitionsNeeded(incPerPeriod uint64) uint64 {
 	return (need + incPerPeriod - 1) / incPerPeriod
 }
 
+// probeLen is γ, the telescoping probe length in packets. The probe may end
+// shorter when it runs out of budget (see telescope).
+const probeLen = 4
+
 // telescope runs the Telescope pass of Figure 3: probe the program with a
 // short symbolic sequence (γ packets), detect paths whose constraints
 // repeat with some period, and generalize each periodic path to the length
@@ -126,7 +130,6 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 	engine := sym.NewEngine(progIn, sym.Options{
 		Greybox:  true,
 		MaxPaths: maxProbePaths,
-		Locality: opt.Locality,
 		Ctx:      probeCtx,
 		Pool:     pool,
 		Target:   opt.targetModel(),
@@ -136,7 +139,7 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 
 	paths := engine.Initial()
 	gamma := 0
-	for step := 0; step < opt.Gamma; step++ {
+	for step := 0; step < probeLen; step++ {
 		nps, err := engine.Step(paths, step)
 		if err != nil {
 			break
@@ -147,7 +150,6 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 	if gamma < 3 {
 		return nil
 	}
-	opt.Gamma = gamma
 
 	// Periodicity detection and the per-pattern model count fan out across
 	// the pool; the dedup and the estimate accumulation stay sequential in
@@ -163,14 +165,14 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 	results := make([]probeResult, len(paths))
 	if err := pool.Run(ctx, len(paths), func(i int) error {
 		path := paths[i]
-		d, ok := periodOf(path, opt.Gamma)
+		d, ok := periodOf(path, gamma)
 		if !ok {
 			return nil
 		}
 		cons := blockConstraints(path, 1, d)
 		q := counter.ProbOf(cons)
 		// Greybox weight amortized per period.
-		q = q.Mul(path.Grey.Pow(float64(d) / float64(opt.Gamma)))
+		q = q.Mul(path.Grey.Pow(float64(d) / float64(gamma)))
 		results[i] = probeResult{ok: true, d: d,
 			sig: fmt.Sprintf("%d|%s", d, canonicalBlock(cons)), q: q}
 		return nil
@@ -191,7 +193,7 @@ func telescope(ctx context.Context, progIn *ir.Program, oracle dist.Oracle, opt 
 			continue
 		}
 		seenPattern[r.sig] = true
-		numBlocks := opt.Gamma / r.d
+		numBlocks := gamma / r.d
 		q := r.q
 		if q.IsZero() {
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"time"
 )
@@ -11,25 +12,22 @@ import (
 // Context and Tracer are attached by whoever executes the run, and Workers
 // is deliberately excluded because profiles are bit-identical for every
 // worker count — two submissions differing only in parallelism must
-// content-address to the same result.
+// content-address to the same result. Parameters fixed as constants (α, γ,
+// merging, greybox locality; see Options) have no key, and Validate bounds
+// the numeric keys.
 //
 // The field set and JSON keys are shared with the run report's "options"
 // block (see optionsMap), so a stored report always records exactly the
 // wire options that produced it.
 type WireOptions struct {
-	Alpha            float64 `json:"alpha"`
 	Epsilon          float64 `json:"epsilon"`
-	Gamma            int     `json:"gamma"`
-	Delta            int     `json:"delta"`
 	MaxIters         int     `json:"max_iters"`
 	TimeoutSec       float64 `json:"timeout_sec"`
 	SampleBudget     int     `json:"sample_budget"`
 	MaxPaths         int     `json:"max_paths"`
 	DisableTelescope bool    `json:"disable_telescope"`
-	DisableMerge     bool    `json:"disable_merge"`
 	DisableSampling  bool    `json:"disable_sampling"`
 	DisablePrune     bool    `json:"disable_prune"`
-	Locality         float64 `json:"locality"`
 	Seed             int64   `json:"seed"`
 	// Target names the device model profiled against ("" normalizes to
 	// "idealized"). It is part of the wire form — and therefore of the
@@ -42,19 +40,14 @@ type WireOptions struct {
 // runtime-only fields.
 func WireFromOptions(o Options) WireOptions {
 	return WireOptions{
-		Alpha:            o.Alpha,
 		Epsilon:          o.Epsilon,
-		Gamma:            o.Gamma,
-		Delta:            o.Delta,
 		MaxIters:         o.MaxIters,
 		TimeoutSec:       o.Timeout.Seconds(),
 		SampleBudget:     o.SampleBudget,
 		MaxPaths:         o.MaxPaths,
 		DisableTelescope: o.DisableTelescope,
-		DisableMerge:     o.DisableMerge,
 		DisableSampling:  o.DisableSampling,
 		DisablePrune:     o.DisablePrune,
-		Locality:         o.Locality,
 		Seed:             o.Seed,
 		Target:           o.Target,
 	}
@@ -65,22 +58,42 @@ func WireFromOptions(o Options) WireOptions {
 // are left for the caller to attach.
 func (w WireOptions) Options() Options {
 	return Options{
-		Alpha:            w.Alpha,
 		Epsilon:          w.Epsilon,
-		Gamma:            w.Gamma,
-		Delta:            w.Delta,
 		MaxIters:         w.MaxIters,
 		Timeout:          time.Duration(w.TimeoutSec * float64(time.Second)),
 		SampleBudget:     w.SampleBudget,
 		MaxPaths:         w.MaxPaths,
 		DisableTelescope: w.DisableTelescope,
-		DisableMerge:     w.DisableMerge,
 		DisableSampling:  w.DisableSampling,
 		DisablePrune:     w.DisablePrune,
-		Locality:         w.Locality,
 		Seed:             w.Seed,
 		Target:           w.Target,
 	}
+}
+
+// maxTimeoutSec is the smallest timeout_sec whose nanoseconds overflow a
+// time.Duration.
+const maxTimeoutSec = float64(math.MaxInt64) / float64(time.Second)
+
+// Validate rejects numeric options outside their domain: negative values
+// (zero selects the documented default) and a timeout_sec too large for a
+// time.Duration. ProbProf and the daemon's submission path both call it, so
+// a bad value is reported as an input error instead of panicking or ending a
+// phase at once.
+func (w WireOptions) Validate() error {
+	switch {
+	case !(w.Epsilon >= 0):
+		return fmt.Errorf("options: epsilon must be >= 0, got %g", w.Epsilon)
+	case w.MaxIters < 0:
+		return fmt.Errorf("options: max_iters must be >= 0, got %d", w.MaxIters)
+	case !(w.TimeoutSec >= 0 && w.TimeoutSec < maxTimeoutSec):
+		return fmt.Errorf("options: timeout_sec must be in [0, %g), got %g", maxTimeoutSec, w.TimeoutSec)
+	case w.SampleBudget < 0:
+		return fmt.Errorf("options: sample_budget must be >= 0, got %d", w.SampleBudget)
+	case w.MaxPaths < 0:
+		return fmt.Errorf("options: max_paths must be >= 0, got %d", w.MaxPaths)
+	}
+	return nil
 }
 
 // Normalized applies the profiler's documented defaults, so submissions

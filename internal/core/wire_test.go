@@ -10,17 +10,13 @@ import (
 // every knob it carries, and normalization must be idempotent.
 func TestWireOptionsRoundTrip(t *testing.T) {
 	o := Options{
-		Alpha:            0.02,
 		Epsilon:          0.001,
-		Gamma:            7,
-		Delta:            3,
 		MaxIters:         42,
 		Timeout:          90 * time.Second,
 		SampleBudget:     123456,
 		MaxPaths:         9999,
 		DisableTelescope: true,
 		DisableSampling:  true,
-		Locality:         0.5,
 		Seed:             17,
 		Target:           "tofino",
 	}
@@ -85,5 +81,35 @@ func TestOptionsMapMatchesWireSchema(t *testing.T) {
 	// Integral knobs stay integers in the report.
 	if _, ok := m["max_iters"].(int); !ok {
 		t.Fatalf("max_iters is %T, want int", m["max_iters"])
+	}
+}
+
+// Out-of-range numeric options are input errors: ProbProf returns them
+// instead of panicking (a negative SampleBudget used to reach make with a
+// negative length) or silently ending the symbolic phase.
+func TestProbProfRejectsOutOfRangeOptions(t *testing.T) {
+	prog := counterProg(t, 4)
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"negative sample budget", Options{SampleBudget: -5000}},
+		{"negative timeout", Options{Timeout: -time.Second}},
+		{"negative max iters", Options{MaxIters: -1}},
+		{"negative max paths", Options{MaxPaths: -1}},
+		{"negative epsilon", Options{Epsilon: -1e-4}},
+	}
+	for _, tc := range cases {
+		if _, err := ProbProf(prog, nil, tc.opt); err == nil {
+			t.Errorf("%s: ProbProf accepted %+v", tc.name, tc.opt)
+		}
+	}
+	// The overflowing timeout exists only on the wire: seconds beyond what
+	// a time.Duration holds.
+	if err := (WireOptions{TimeoutSec: 1e10}).Validate(); err == nil {
+		t.Error("timeout_sec 1e10 accepted")
+	}
+	if err := (WireOptions{TimeoutSec: 3600}).Validate(); err != nil {
+		t.Errorf("timeout_sec 3600 rejected: %v", err)
 	}
 }

@@ -56,19 +56,48 @@ func TestFigure6a(t *testing.T) {
 	}
 }
 
+// Figures 6b–6d share one shape over SizeSweep: the greybox store's cost
+// stays flat while the symbolic-array baseline grows or times out.
 func TestFigure6bGreyboxFlat(t *testing.T) {
-	res, err := Figure6b(quickConfig())
+	for _, tc := range []struct {
+		name string
+		run  func(Config) (*SweepResult, error)
+	}{
+		{"6b", Figure6b},
+		{"6c", Figure6c},
+		{"6d", Figure6d},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run(quickConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			small, large := res.Points[0], res.Points[len(res.Points)-1]
+			// Greybox cost must not scale with structure size (allow 20x
+			// noise); the baseline cost must grow or time out.
+			if large.P4wnTime > small.P4wnTime*20+50*time.Millisecond {
+				t.Fatalf("greybox not size-independent: %v -> %v", small.P4wnTime, large.P4wnTime)
+			}
+			if !large.BaselineTimedOut && large.BaselineTime < small.BaselineTime {
+				t.Fatal("baseline cost should grow with size")
+			}
+		})
+	}
+}
+
+func TestFigure6e(t *testing.T) {
+	res, err := Figure6e(quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, large := res.Points[0], res.Points[len(res.Points)-1]
-	// Greybox cost must not scale with structure size (allow 20x noise);
-	// the baseline cost must grow or time out.
-	if large.P4wnTime > small.P4wnTime*20+50*time.Millisecond {
-		t.Fatalf("greybox not size-independent: %v -> %v", small.P4wnTime, large.P4wnTime)
+	want := S1toS11()
+	if len(res.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), len(want))
 	}
-	if !large.BaselineTimedOut && large.BaselineTime < small.BaselineTime {
-		t.Fatal("baseline cost should grow with size")
+	for i, m := range want {
+		if res.Rows[i].Name != m.Name {
+			t.Errorf("row %d = %q, want %q", i, res.Rows[i].Name, m.Name)
+		}
 	}
 }
 

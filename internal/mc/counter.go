@@ -59,12 +59,8 @@ type Counter struct {
 	Space  *solver.Space
 	Oracle dist.Oracle
 
-	// MCSamples bounds Monte-Carlo fallback sample counts (default 20000).
-	MCSamples int
 	// Seed makes the Monte-Carlo fallback deterministic.
 	Seed int64
-	// DisableCache turns off memoization (for the cache ablation).
-	DisableCache bool
 	// ForceMC forces the Monte-Carlo path even for exactly countable
 	// components (for the exact-vs-MC ablation).
 	ForceMC bool
@@ -89,10 +85,9 @@ func NewCounter(space *solver.Space, oracle dist.Oracle) *Counter {
 		oracle = &dist.UniformOracle{}
 	}
 	return &Counter{
-		Space:     space,
-		Oracle:    oracle,
-		MCSamples: 20000,
-		cache:     newShardedCache(),
+		Space:  space,
+		Oracle: oracle,
+		cache:  newShardedCache(),
 	}
 }
 
@@ -134,7 +129,7 @@ func (c *Counter) Metrics() map[string]float64 {
 // one computes, the rest block on its result and count as cache hits.
 func (c *Counter) ProbOf(cs []solver.Constraint) prob.P {
 	c.stats.queries.Add(1)
-	if c.DisableCache || c.cache == nil {
+	if c.cache == nil {
 		return c.ProbOfSystem(solver.Build(cs, c.Space))
 	}
 	e, existed := c.cache.lookupOrClaim(cacheKey(cs))

@@ -200,7 +200,6 @@ func TestMonteCarloDeterminism(t *testing.T) {
 	mk := func() float64 {
 		c := NewCounter(sp(), nil)
 		c.Seed = 42
-		c.DisableCache = true
 		p := c.ProbOf([]solver.Constraint{
 			solver.NewCmp(ir.CmpLe,
 				solver.VarExpr(v(0, "a")).Add(solver.VarExpr(v(0, "b"))),

@@ -8,6 +8,9 @@ import (
 	"repro/internal/solver"
 )
 
+// mcSamples is the Monte-Carlo fallback's sample count per component.
+const mcSamples = 20000
+
 // monteCarlo estimates the probability of a component that is too entangled
 // for closed-form counting. Each class root is drawn from its conditional
 // weight function; the hit rate over the samples scales the product of the
@@ -59,13 +62,9 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 	}
 	rng := rand.New(rand.NewSource(c.Seed ^ int64(h.Sum64())))
 
-	samples := c.MCSamples
-	if samples <= 0 {
-		samples = 20000
-	}
 	hits := 0
 	asn := map[solver.Var]uint64{}
-	for i := 0; i < samples; i++ {
+	for i := 0; i < mcSamples; i++ {
 		for _, ci := range infos {
 			asn[ci.root] = sampleSegs(rng, ci.segs, ci.cum, ci.mass)
 		}
@@ -73,7 +72,7 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 			hits++
 		}
 	}
-	rate := float64(hits) / float64(samples)
+	rate := float64(hits) / mcSamples
 	return base.Mul(prob.FromFloat(rate))
 }
 

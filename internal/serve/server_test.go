@@ -96,6 +96,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"scale and options", JobSpec{Source: src, Scale: "quick", Options: core.WireOptions{Seed: 3}}},
 		{"unknown scale", JobSpec{Source: src, Scale: "gigantic"}},
 		{"negative timeout", JobSpec{Source: src, TimeoutSec: -1}},
+		{"negative sample_budget", JobSpec{Source: src, Options: core.WireOptions{SampleBudget: -5000}}},
+		{"negative timeout_sec", JobSpec{Source: src, Options: core.WireOptions{TimeoutSec: -1}}},
+		{"overflowing timeout_sec", JobSpec{Source: src, Options: core.WireOptions{TimeoutSec: 1e10}}},
+		{"negative max_iters", JobSpec{Source: src, Options: core.WireOptions{MaxIters: -1}}},
+		{"negative max_paths", JobSpec{Source: src, Options: core.WireOptions{MaxPaths: -1}}},
+		{"negative epsilon", JobSpec{Source: src, Options: core.WireOptions{Epsilon: -1e-4}}},
 	}
 	for _, tc := range cases {
 		if _, code, err := s.Submit(tc.spec); code != http.StatusBadRequest || err == nil {
@@ -645,15 +651,21 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("submit: %d %+v", resp.StatusCode, st)
 	}
 
-	// Unknown-field payloads are rejected.
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"source": "x", "bogus_field": 1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field accepted: %d", resp.StatusCode)
+	// Unknown fields (including option keys that no longer exist) and
+	// out-of-range options are rejected before a job is created.
+	for _, body := range []string{
+		`{"source": "x", "bogus_field": 1}`,
+		`{"program": "copy-to-cpu", "options": {"alpha": 0.99}}`,
+		`{"program": "copy-to-cpu", "options": {"sample_budget": -5000}}`,
+	} {
+		resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s accepted: %d", body, resp.StatusCode)
+		}
 	}
 
 	// The SSE stream ends with a done event carrying the terminal state.

@@ -104,6 +104,9 @@ func (s JobSpec) normalize() (JobSpec, error) {
 		s.Options = core.WireFromOptions(cfg.ProfileOptions())
 		s.Scale = ""
 	}
+	if err := s.Options.Validate(); err != nil {
+		return s, err
+	}
 	s.Options = s.Options.Normalized()
 	if s.TimeoutSec < 0 {
 		return s, fmt.Errorf("job_timeout_sec must be >= 0")

@@ -167,7 +167,7 @@ func pick(iv Interval, forbidden map[uint64]bool, rng *rand.Rand, randomize bool
 		if width == ^uint64(0) {
 			start = rng.Uint64()
 		} else {
-			start = iv.Lo + uint64(rng.Int63n(int64(min64(width+1, 1<<62))))
+			start = iv.Lo + uint64(rng.Int63n(int64(min(width+1, 1<<62))))
 		}
 	}
 	// Scan upward from start, wrapping once at Hi.
@@ -198,13 +198,6 @@ func pick(iv Interval, forbidden map[uint64]bool, rng *rand.Rand, randomize bool
 		}
 	}
 	return 0, false
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // expand derives every member variable's value from its root value.
@@ -266,7 +259,7 @@ func (s *System) repairGeneric(rng *rand.Rand, rootVal map[Var]uint64, opt Solve
 			if span == ^uint64(0) {
 				trial[r] = rng.Uint64()
 			} else {
-				trial[r] = iv.Lo + uint64(rng.Int63n(int64(min64(span+1, 1<<62))))
+				trial[r] = iv.Lo + uint64(rng.Int63n(int64(min(span+1, 1<<62))))
 			}
 		}
 		// Pivot-solve each equality constraint for one of its variables:

@@ -22,7 +22,8 @@ import (
 // exactly as the paper reports KLEE timeouts.
 var ErrBudget = errors.New("sym: exploration budget exceeded")
 
-// Options configures an engine run.
+// Options configures an engine run. Every fork is checked for feasibility
+// before it is kept, and greybox stores use greybox.DefaultLocality.
 type Options struct {
 	// Greybox folds hash tables / Bloom filters / sketches into
 	// probabilistic data stores (P4wn). When false, the engine materializes
@@ -32,9 +33,6 @@ type Options struct {
 	Merge bool
 	// MaxPaths bounds the live path count (0 = 1<<20).
 	MaxPaths int
-	// FeasibilityCheck prunes infeasible forks eagerly (default on; the
-	// NoFeasibilityCheck flag flips it for ablation).
-	NoFeasibilityCheck bool
 	// DropOptimization halts a packet's processing at a Drop action —
 	// one of the two Vera branch-cutting techniques ported to P4wn
 	// (paper §A.2).
@@ -44,8 +42,6 @@ type Options struct {
 	// layouts"): branchy multi-protocol pipelines are analyzed one packet
 	// layout at a time instead of across the full header space.
 	Layout map[string]uint64
-	// Locality overrides greybox key locality (0 = greybox default).
-	Locality float64
 	// Dead lists CFG node IDs proven statically infeasible by the analysis
 	// package (repo-over-paper extension). A path that would enter a dead
 	// block is discarded instead of forked further: the block's probability
@@ -545,14 +541,12 @@ func (e *Engine) forkCmp(p *Path, c ir.Cmp, pkt int) (*Path, *Path) {
 	pf := p
 	pf.PC = append(pf.PC, con.Negate())
 
-	if !e.Opts.NoFeasibilityCheck {
-		e.Stats.FeasibilityChk += 2
-		if !e.timedFeasible(pt.PC) {
-			pt = nil
-		}
-		if !e.timedFeasible(pf.PC) {
-			pf = nil
-		}
+	e.Stats.FeasibilityChk += 2
+	if !e.timedFeasible(pt.PC) {
+		pt = nil
+	}
+	if !e.timedFeasible(pf.PC) {
+		pf = nil
 	}
 	return pt, pf
 }

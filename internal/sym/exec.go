@@ -212,9 +212,6 @@ func (e *Engine) hashStore(p *Path, name string) *greybox.HashStore {
 	}
 	decl, _ := e.Prog.HashTable(name)
 	st := greybox.NewHashStore(e.Opts.Target.ClampHashSlots(decl.Size))
-	if e.Opts.Locality > 0 {
-		st.Locality = e.Opts.Locality
-	}
 	p.HashStores[name] = st
 	return st
 }
@@ -341,9 +338,6 @@ func (e *Engine) bloom(p *Path, name string) *greybox.BloomStore {
 	}
 	decl, _ := e.Prog.Bloom(name)
 	st := greybox.NewBloomStore(e.Opts.Target.ClampBloomBits(decl.Bits), decl.Hashes)
-	if e.Opts.Locality > 0 {
-		st.Locality = e.Opts.Locality
-	}
 	p.Blooms[name] = st
 	return st
 }
@@ -372,9 +366,6 @@ func (e *Engine) sketch(p *Path, name string) *greybox.SketchStore {
 	}
 	decl, _ := e.Prog.Sketch(name)
 	st := greybox.NewSketchStore(decl.Rows, e.Opts.Target.ClampSketchCols(decl.Cols))
-	if e.Opts.Locality > 0 {
-		st.Locality = e.Opts.Locality
-	}
 	p.Sketches[name] = st
 	return st
 }
@@ -545,13 +536,8 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 		q.PC = append(q.PC, cons...)
 		// Entries are declared disjoint across the zoo; overlapping tables
 		// would need prior-entry miss chaining here as well.
-		if !e.Opts.NoFeasibilityCheck {
-			e.Stats.FeasibilityChk++
-			if !e.timedFeasible(q.PC) {
-				q = nil
-			}
-		}
-		if q != nil {
+		e.Stats.FeasibilityChk++
+		if e.timedFeasible(q.PC) {
 			nps, err := e.exec(q, entries[i].Action, pkt)
 			if err != nil {
 				return nil, err
@@ -604,11 +590,9 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 					e.countFork()
 				}
 				q.PC = append(q.PC, way...)
-				if !e.Opts.NoFeasibilityCheck {
-					e.Stats.FeasibilityChk++
-					if !e.timedFeasible(q.PC) {
-						continue
-					}
+				e.Stats.FeasibilityChk++
+				if !e.timedFeasible(q.PC) {
+					continue
 				}
 				next = append(next, q)
 			}

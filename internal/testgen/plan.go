@@ -14,7 +14,7 @@ import (
 func directedPlan(prog *ir.Program, target int, opt Options) (*pathPlan, error) {
 	engine := sym.NewEngine(prog, sym.Options{
 		Greybox:  true,
-		MaxPaths: opt.Beam * 64,
+		MaxPaths: beam * 64,
 		Ctx:      opt.Ctx,
 		Target:   opt.targetModel(),
 	})
@@ -22,7 +22,7 @@ func directedPlan(prog *ir.Program, target int, opt Options) (*pathPlan, error) 
 	distTo := cfg.DistanceTo(target)
 
 	paths := engine.Initial()
-	for step := 0; step < opt.MaxSeqLen; step++ {
+	for step := 0; step < maxSeqLen; step++ {
 		nps, err := engine.Step(paths, step)
 		if err != nil {
 			// The engine folds cancellation into its budget error; report
@@ -40,8 +40,8 @@ func directedPlan(prog *ir.Program, target int, opt Options) (*pathPlan, error) 
 		sort.SliceStable(nps, func(i, j int) bool {
 			return planScore(nps[i], distTo) < planScore(nps[j], distTo)
 		})
-		if len(nps) > opt.Beam {
-			nps = nps[:opt.Beam]
+		if len(nps) > beam {
+			nps = nps[:beam]
 		}
 		paths = nps
 	}
@@ -85,7 +85,7 @@ func stretchPlan(prog *ir.Program, g core.Guard, target int, opt Options) (*path
 		Ctx:      opt.Ctx,
 		Target:   opt.targetModel(),
 	})
-	maxSteps := int(rept)*2 + opt.Slack + 8
+	maxSteps := int(rept)*2 + slack + 8
 	paths := engine.Initial()
 	for step := 0; step < maxSteps; step++ {
 		nps, err := engine.Step(paths, step)

@@ -29,17 +29,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes generation.
+// Generation bounds, fixed for every caller.
+const (
+	// maxSeqLen bounds the directed-symbex sequence length.
+	maxSeqLen = 8
+	// beam is the beam width of directed exploration.
+	beam = 128
+	// retries bounds havoc/validation retries.
+	retries = 8
+	// slack extends stretched guard plans beyond the threshold.
+	slack = 4
+)
+
+// Options tunes generation. The search bounds are the package constants
+// maxSeqLen, beam, retries and slack.
 type Options struct {
+	// Seed drives the solver and havoc phases.
 	Seed int64
-	// MaxSeqLen bounds the directed-symbex sequence length (default 8).
-	MaxSeqLen int
-	// Beam is the beam width of directed exploration (default 128).
-	Beam int
-	// Retries bounds havoc/validation retries (default 8).
-	Retries int
-	// Slack extends stretched guard plans beyond the threshold (default 4).
-	Slack int
 	// Ctx cancels generation end to end: directed/stretched symbolic
 	// exploration checks it at every fork point, the solver once per
 	// restart (and stride-checked inside its repair loop), and the havoc
@@ -69,22 +75,6 @@ func (o Options) ctx() context.Context {
 		return context.Background()
 	}
 	return o.Ctx
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxSeqLen == 0 {
-		o.MaxSeqLen = 8
-	}
-	if o.Beam == 0 {
-		o.Beam = 128
-	}
-	if o.Retries == 0 {
-		o.Retries = 8
-	}
-	if o.Slack == 0 {
-		o.Slack = 4
-	}
-	return o
 }
 
 // Decomposition reports where generation time went (Figure 9).
@@ -128,7 +118,6 @@ var ErrNotFound = errors.New("testgen: no feasible path to target found")
 // Generate produces a concrete packet sequence that exercises the target
 // CFG node of the program.
 func Generate(prog *ir.Program, target int, opt Options) (*AdvTrace, error) {
-	opt = opt.withDefaults()
 	if target < 0 || target >= len(prog.Nodes()) {
 		return nil, fmt.Errorf("testgen: target node %d out of range", target)
 	}
@@ -139,7 +128,7 @@ func Generate(prog *ir.Program, target int, opt Options) (*AdvTrace, error) {
 	var plan *pathPlan
 	var err error
 	symStart := time.Now()
-	if g, ok := guardOf(prog, target); ok && g.RepetitionsNeeded(1) > uint64(opt.MaxSeqLen) {
+	if g, ok := guardOf(prog, target); ok && g.RepetitionsNeeded(1) > maxSeqLen {
 		plan, err = stretchPlan(prog, g, target, opt)
 	} else {
 		plan, err = directedPlan(prog, target, opt)
@@ -152,7 +141,7 @@ func Generate(prog *ir.Program, target int, opt Options) (*AdvTrace, error) {
 	// Solve + havoc with validation retries. The per-phase context checks
 	// make the retry loop stop at the first canceled phase instead of
 	// burning the remaining retries on doomed solves.
-	for try := 0; try < opt.Retries; try++ {
+	for try := 0; try < retries; try++ {
 		if err := opt.ctx().Err(); err != nil {
 			return out, err
 		}
