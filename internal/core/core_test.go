@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/ir"
+	"repro/internal/programs"
 	"repro/internal/testutil"
 )
 
@@ -397,5 +398,25 @@ func TestDistGuardLocalityFactor(t *testing.T) {
 	wantLog := 50 * math.Log10(0.9)
 	if math.Abs(hot.P.Log10()-wantLog) > 1 {
 		t.Fatalf("hot log10 = %v, want ≈ %v (0.9^50)", hot.P.Log10(), wantLog)
+	}
+}
+
+func TestNetWardenDisequalitiesCountedExactly(t *testing.T) {
+	// NetWarden's ack/seq chains are disequality trees over three to six
+	// classes. They are counted by inclusion–exclusion, never by
+	// Monte-Carlo.
+	m, ok := programs.ByName("NetWarden (S11)")
+	if !ok {
+		t.Fatal("NetWarden missing from the zoo")
+	}
+	pf, err := ProbProf(m.Build(), programs.OracleFor(m, 1), Options{
+		Seed: 1, SampleBudget: 2000, MaxIters: 3, Workers: 1, Timeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcm := pf.Stats.Counter.Metrics()
+	if mcm["exact_neqs"] == 0 || mcm["mc_fallbacks"] != 0 {
+		t.Fatalf("exact_neqs = %v, mc_fallbacks = %v: want > 0 and 0", mcm["exact_neqs"], mcm["mc_fallbacks"])
 	}
 }

@@ -19,7 +19,8 @@ var update = flag.Bool("update", false, "rewrite testdata/profiles.golden")
 // second yet together cover telescoping, store-counter generalization,
 // greybox weighting, the sampling fallback and plain convergence.
 // NetWarden stops at depth 3, where its profile already rests on
-// Monte-Carlo counting fallbacks and still takes a fraction of a second.
+// disequality components counted by inclusion–exclusion and still takes a
+// fraction of a second.
 var goldenPrograms = []struct {
 	name     string
 	maxIters int

@@ -6,14 +6,17 @@
 //
 // Constraint systems decompose into independent components. Single-class
 // components and two-class components (connected by difference and
-// disequality constraints) are counted exactly in closed form; larger or
-// generic-residue components fall back to a deterministic Monte-Carlo
-// estimator, mirroring how approximate #SMT solvers handle theories exact
-// counters cannot.
+// disequality constraints) are counted exactly in closed form. Components
+// of three or more classes linked only by disequalities are counted exactly
+// by inclusion–exclusion over the disequality edges. Only the residue —
+// components with generic constraints, three or more classes linked by
+// differences, or more than maxNeqEdges disequalities — falls back to a
+// deterministic Monte-Carlo estimator, mirroring how approximate #SMT
+// solvers handle theories exact counters cannot.
 package mc
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dist"
@@ -27,6 +30,7 @@ type Stats struct {
 	CacheHits    int
 	ExactClasses int // components counted in closed form
 	ExactPairs   int
+	ExactNeqs    int // disequality components counted by inclusion–exclusion
 	MCFallbacks  int // components estimated by Monte Carlo
 }
 
@@ -46,6 +50,7 @@ func (s Stats) Metrics() map[string]float64 {
 		"cache_hit_rate": s.CacheHitRate(),
 		"exact_classes":  float64(s.ExactClasses),
 		"exact_pairs":    float64(s.ExactPairs),
+		"exact_neqs":     float64(s.ExactNeqs),
 		"mc_fallbacks":   float64(s.MCFallbacks),
 	}
 }
@@ -75,6 +80,7 @@ type counterStats struct {
 	cacheHits    atomic.Int64
 	exactClasses atomic.Int64
 	exactPairs   atomic.Int64
+	exactNeqs    atomic.Int64
 	mcFallbacks  atomic.Int64
 }
 
@@ -98,6 +104,7 @@ func (c *Counter) Stats() Stats {
 		CacheHits:    int(c.stats.cacheHits.Load()),
 		ExactClasses: int(c.stats.exactClasses.Load()),
 		ExactPairs:   int(c.stats.exactPairs.Load()),
+		ExactNeqs:    int(c.stats.exactNeqs.Load()),
 		MCFallbacks:  int(c.stats.mcFallbacks.Load()),
 	}
 }
@@ -148,27 +155,30 @@ func (c *Counter) ProbOfSystem(sys *solver.System) prob.P {
 	if !sys.Feasible {
 		return prob.Zero()
 	}
-	comps := components(sys)
 	result := prob.One()
-	for _, comp := range comps {
-		var p prob.P
-		switch {
-		case c.ForceMC:
-			c.stats.mcFallbacks.Add(1)
-			p = c.monteCarlo(sys, comp)
-		case len(comp.roots) == 1 && len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) == 0:
-			c.stats.exactClasses.Add(1)
-			p = prob.FromFloat(c.classMass(sys, comp.roots[0]))
-		case len(comp.roots) == 2 && len(comp.generic) == 0:
-			c.stats.exactPairs.Add(1)
-			p = c.pairProb(sys, comp)
-		default:
-			c.stats.mcFallbacks.Add(1)
-			p = c.monteCarlo(sys, comp)
-		}
-		result = result.Mul(p)
+	for _, comp := range components(sys) {
+		result = result.Mul(c.componentProb(sys, comp))
 	}
 	return result
+}
+
+// componentProb counts one independent component, exactly when its shape
+// allows and by Monte-Carlo otherwise.
+func (c *Counter) componentProb(sys *solver.System, comp component) prob.P {
+	switch {
+	case c.ForceMC: // counted by Monte-Carlo below
+	case len(comp.roots) == 1 && len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) == 0:
+		c.stats.exactClasses.Add(1)
+		return prob.FromFloat(c.classMass(sys, comp.roots[0]))
+	case len(comp.roots) == 2 && len(comp.generic) == 0:
+		c.stats.exactPairs.Add(1)
+		return c.pairProb(sys, comp)
+	case len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) <= maxNeqEdges:
+		c.stats.exactNeqs.Add(1)
+		return c.neqProb(sys, comp)
+	}
+	c.stats.mcFallbacks.Add(1)
+	return c.monteCarlo(sys, comp)
 }
 
 // component groups roots linked by diffs, neqs, or generic constraints.
@@ -374,10 +384,7 @@ func (c *Counter) classMass(sys *solver.System, root solver.Var) float64 {
 	}
 
 	segs := c.classSegments(sys, root)
-	mass := 0.0
-	for _, s := range segs {
-		mass += s.dens * (float64(s.hi-s.lo) + 1)
-	}
+	mass := segMass(segs)
 	for _, h := range sys.Holes[root] {
 		mass -= segDensityAt(segs, h)
 	}
@@ -422,47 +429,43 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 		return nil
 	}
 	// Shift every member's distribution into root coordinates and collect
-	// breakpoints.
-	type shifted struct {
-		pieces []dist.Piece
+	// breakpoints. A piece clipped at either end of the value range keeps
+	// its per-value density.
+	dists := make([]dist.Dist, len(members))
+	npieces := 0
+	for i, m := range members {
+		dists[i] = c.distFor(m.Var)
+		npieces += len(dists[i].Pieces)
 	}
-	sh := make([]shifted, len(members))
-	cutSet := map[uint64]bool{iv.Lo: true}
+	sh := make([][]wseg, len(members))
+	cuts := make([]uint64, 1, 1+2*npieces)
+	cuts[0] = iv.Lo
 	addCut := func(v uint64) {
 		if v >= iv.Lo && v <= iv.Hi {
-			cutSet[v] = true
+			cuts = append(cuts, v)
 		}
 	}
 	for i, m := range members {
-		d := c.distFor(m.Var)
-		for _, p := range d.Pieces {
+		sh[i] = make([]wseg, 0, len(dists[i].Pieces))
+		for _, p := range dists[i].Pieces {
 			lo := solver.Interval{Lo: p.Lo, Hi: p.Hi}.Shift(-m.Off)
 			if lo.Empty() {
 				continue
 			}
-			sh[i].pieces = append(sh[i].pieces, dist.Piece{Lo: lo.Lo, Hi: lo.Hi, Mass: p.Mass})
+			sh[i] = append(sh[i], wseg{lo: lo.Lo, hi: lo.Hi, dens: p.Density()})
 			addCut(lo.Lo)
 			if lo.Hi < ^uint64(0) {
 				addCut(lo.Hi + 1)
 			}
 		}
 	}
-	cuts := make([]uint64, 0, len(cutSet))
-	for v := range cutSet {
-		cuts = append(cuts, v)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 
-	densAt := func(pieces []dist.Piece, v uint64) float64 {
-		for _, p := range pieces {
-			if v >= p.Lo && v <= p.Hi {
-				return p.Mass / (float64(p.Hi-p.Lo) + 1)
-			}
-		}
-		return 0
-	}
-
-	var segs []wseg
+	// Pieces and cuts both ascend, so each member's piece index only moves
+	// forward.
+	at := make([]int, len(sh))
+	segs := make([]wseg, 0, len(cuts))
 	for i, lo := range cuts {
 		var hi uint64
 		if i+1 < len(cuts) {
@@ -477,11 +480,15 @@ func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
 			continue
 		}
 		dens := 1.0
-		for _, s := range sh {
-			dens *= densAt(s.pieces, lo)
-			if dens == 0 {
+		for k, s := range sh {
+			for at[k] < len(s) && s[at[k]].hi < lo {
+				at[k]++
+			}
+			if at[k] == len(s) || s[at[k]].lo > lo {
+				dens = 0
 				break
 			}
+			dens *= s[at[k]].dens
 		}
 		if dens > 0 {
 			segs = append(segs, wseg{lo: lo, hi: hi, dens: dens})

@@ -1,10 +1,12 @@
 package mc
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/ir"
+	"repro/internal/prob"
 	"repro/internal/solver"
 	"repro/internal/testutil"
 )
@@ -292,6 +294,16 @@ func TestCountPairsRandomized(t *testing.T) {
 	}
 }
 
+func TestCountPairsDoesNotAllocate(t *testing.T) {
+	// countPairs runs once per segment pair of every two-class component.
+	allocs := testing.AllocsPerRun(100, func() {
+		countPairs(3, 20, 0, 7, -100, 2)
+	})
+	if allocs != 0 {
+		t.Fatalf("countPairs allocates %v times per call", allocs)
+	}
+}
+
 func TestHolePunching(t *testing.T) {
 	segs := []wseg{{lo: 0, hi: 9, dens: 0.1}}
 	out := punchHoles(segs, []uint64{3, 7})
@@ -353,5 +365,157 @@ func TestMaskedDistWideBaseSubmasks(t *testing.T) {
 	})
 	if !almostEq(p.Float(), 0.25, 1e-9) {
 		t.Fatalf("P(two wide bits clear) = %v, want 0.25", p.Float())
+	}
+}
+
+func TestMonteCarloEstimatePinned(t *testing.T) {
+	// The seed-7 estimate of a + b <= 255 is 10 011 hits out of mcSamples
+	// on a base of mass 1. Pinning it bit for bit guards the generic
+	// Monte-Carlo path against any change in sampling order or RNG use.
+	c := NewCounter(sp(), nil)
+	c.Seed = 7
+	p := c.ProbOf([]solver.Constraint{
+		solver.NewCmp(ir.CmpLe,
+			solver.VarExpr(v(0, "a")).Add(solver.VarExpr(v(0, "b"))),
+			solver.ConstExpr(255)),
+	})
+	if want := prob.FromFloat(10011.0 / mcSamples); p.Cmp(want) != 0 || p.Log10() != want.Log10() {
+		t.Fatalf("MC estimate log10 %v, want %v", p.Log10(), want.Log10())
+	}
+}
+
+// neq builds the disequality x != y + k.
+func neq(x, y solver.Var, k int64) solver.Constraint {
+	return con(ir.CmpNe, solver.VarExpr(x), solver.VarExpr(y).Add(solver.ConstExpr(k)))
+}
+
+// wantExactNeq asserts that every component of the query was counted
+// without Monte-Carlo and that exactly one went through inclusion–exclusion.
+func wantExactNeq(t *testing.T, c *Counter) {
+	t.Helper()
+	if s := c.Stats(); s.MCFallbacks != 0 || s.ExactNeqs != 1 {
+		t.Fatalf("stats %+v: want one exact disequality component and no MC fallback", s)
+	}
+}
+
+func TestRareBlockNeqChainExact(t *testing.T) {
+	// P(0) = 1 − 1e-6, P(1) = 1e-6: a != b, b != c holds only on 1,0,1 and
+	// 0,1,0. Monte-Carlo at 20 000 samples almost surely sees neither and
+	// used to report exactly 0.
+	const rare = 1e-6
+	skew := dist.MustFromPieces([]dist.Piece{{Lo: 0, Hi: 0, Mass: 1 - rare}, {Lo: 1, Hi: 1, Mass: rare}})
+	profile := dist.NewProfile().SetField("a", skew).SetField("b", skew).SetField("c", skew)
+	c := NewCounter(sp(), profile)
+	p := c.ProbOf([]solver.Constraint{
+		neq(v(0, "a"), v(0, "b"), 0),
+		neq(v(0, "b"), v(0, "c"), 0),
+	})
+	want := rare*(1-rare)*(1-rare) + (1-rare)*rare*rare
+	if p.IsZero() || !testutil.ApproxEqual(p.Float(), want, 0, 1e-9) {
+		t.Fatalf("P = %v, want %v", p.Float(), want)
+	}
+	wantExactNeq(t, c)
+}
+
+func TestUniformNeqTriangle(t *testing.T) {
+	c := NewCounter(sp(), nil)
+	p := c.ProbOf([]solver.Constraint{
+		neq(v(0, "a"), v(0, "b"), 0),
+		neq(v(0, "b"), v(0, "c"), 0),
+		neq(v(0, "a"), v(0, "c"), 0),
+	})
+	want := 256.0 * 255 * 254 / (256 * 256 * 256)
+	if !testutil.ApproxEqual(p.Float(), want, 0, 1e-12) {
+		t.Fatalf("P = %v, want %v", p.Float(), want)
+	}
+	wantExactNeq(t, c)
+}
+
+func TestOffsetNeqsWithHoles(t *testing.T) {
+	// a != b + 3, b != c + 1, a != c, with holes a != 7 and c != 0, all
+	// on [0,15] of uniform 8-bit fields. Brute force over 16^3 values.
+	lim := solver.ConstExpr(15)
+	c := NewCounter(sp(), nil)
+	p := c.ProbOf([]solver.Constraint{
+		con(ir.CmpLe, solver.VarExpr(v(0, "a")), lim),
+		con(ir.CmpLe, solver.VarExpr(v(0, "b")), lim),
+		con(ir.CmpLe, solver.VarExpr(v(0, "c")), lim),
+		neq(v(0, "a"), v(0, "b"), 3),
+		neq(v(0, "b"), v(0, "c"), 1),
+		neq(v(0, "a"), v(0, "c"), 0),
+		con(ir.CmpNe, solver.VarExpr(v(0, "a")), solver.ConstExpr(7)),
+		con(ir.CmpNe, solver.VarExpr(v(0, "c")), solver.ConstExpr(0)),
+	})
+	n := 0
+	for a := 0; a <= 15; a++ {
+		for b := 0; b <= 15; b++ {
+			for cc := 0; cc <= 15; cc++ {
+				if a != b+3 && b != cc+1 && a != cc && a != 7 && cc != 0 {
+					n++
+				}
+			}
+		}
+	}
+	want := float64(n) / (256 * 256 * 256)
+	if !testutil.ApproxEqual(p.Float(), want, 0, 1e-12) {
+		t.Fatalf("P = %v, want %v (%d assignments)", p.Float(), want, n)
+	}
+	wantExactNeq(t, c)
+}
+
+func TestSixRootNeqTree(t *testing.T) {
+	// Any tree of disequalities over q uniform values has q·(q−1)^(n−1)
+	// satisfying assignments, whatever its shape.
+	x := func(pkt int) solver.Var { return v(pkt, "a") }
+	c := NewCounter(sp(), nil)
+	p := c.ProbOf([]solver.Constraint{
+		neq(x(0), x(1), 0),
+		neq(x(0), x(2), 0),
+		neq(x(1), x(3), 0),
+		neq(x(1), x(4), 0),
+		neq(x(2), x(5), 0),
+	})
+	want := 255.0 * 255 * 255 * 255 * 255 / (256 * 256 * 256 * 256 * 256)
+	if !testutil.ApproxEqual(p.Float(), want, 0, 1e-12) {
+		t.Fatalf("P = %v, want %v", p.Float(), want)
+	}
+	wantExactNeq(t, c)
+}
+
+func TestNeqEdgeLimitFallsBackToMC(t *testing.T) {
+	// a - b avoids 0..maxNeqEdges (one edge past the limit) and b != c:
+	// inclusion–exclusion would need 2^12 terms, so Monte-Carlo counts it.
+	var cs []solver.Constraint
+	for k := int64(0); k <= maxNeqEdges; k++ {
+		cs = append(cs, neq(v(0, "a"), v(0, "b"), k))
+	}
+	cs = append(cs, neq(v(0, "b"), v(0, "c"), 0))
+	c := NewCounter(sp(), nil)
+	c.Seed = 1
+	p := c.ProbOf(cs)
+	if s := c.Stats(); s.MCFallbacks != 1 || s.ExactNeqs != 0 {
+		t.Fatalf("stats %+v: want one MC fallback", s)
+	}
+	in := 0.0 // pairs with a − b in 0..maxNeqEdges
+	for k := 0; k <= maxNeqEdges; k++ {
+		in += float64(256 - k)
+	}
+	want := (1 - in/(256*256)) * 255 / 256
+	if sigma := math.Sqrt(want * (1 - want) / mcSamples); math.Abs(p.Float()-want) > 5*sigma {
+		t.Fatalf("MC estimate %v, want %v ± %v", p.Float(), want, 5*sigma)
+	}
+}
+
+func TestOffsetClassKeepsClippedDensity(t *testing.T) {
+	// a == w + 2 over 8- and 16-bit uniform fields: 254 of w's values
+	// leave a in range. In root coordinates one member's piece is clipped
+	// by the offset; it must keep its per-value density of 1/256.
+	c := NewCounter(sp(), nil)
+	p := c.ProbOf([]solver.Constraint{
+		con(ir.CmpEq, solver.VarExpr(v(0, "a")), solver.VarExpr(v(0, "w")).Add(solver.ConstExpr(2))),
+	})
+	want := 254.0 / (256 * 65536)
+	if !testutil.ApproxEqual(p.Float(), want, 0, 1e-12) {
+		t.Fatalf("P = %v, want %v", p.Float(), want)
 	}
 }

@@ -3,6 +3,7 @@ package mc
 import (
 	"hash/fnv"
 	"math/rand"
+	"sort"
 
 	"repro/internal/prob"
 	"repro/internal/solver"
@@ -29,10 +30,7 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 	infos := make([]classInfo, 0, len(comp.roots))
 	for _, r := range comp.roots {
 		segs := punchHoles(c.classSegments(sys, r), sys.Holes[r])
-		mass := 0.0
-		for _, s := range segs {
-			mass += s.dens * (float64(s.hi-s.lo) + 1)
-		}
+		mass := segMass(segs)
 		if mass <= 0 {
 			return prob.Zero()
 		}
@@ -78,12 +76,9 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 
 func sampleSegs(rng *rand.Rand, segs []wseg, cum []float64, mass float64) uint64 {
 	u := rng.Float64() * mass
-	idx := len(segs) - 1
-	for i, cm := range cum {
-		if u <= cm {
-			idx = i
-			break
-		}
+	idx := sort.SearchFloat64s(cum, u) // first i with u <= cum[i]
+	if idx == len(segs) {
+		idx = len(segs) - 1
 	}
 	s := segs[idx]
 	span := s.hi - s.lo

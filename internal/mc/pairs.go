@@ -127,23 +127,28 @@ func countPairs(a0u, a1u, b0u, b1u uint64, dlo, dhi int64) float64 {
 		}
 		return hi - lo + 1
 	}
-	// Candidate breakpoints: where either clamp switches regime.
-	cands := []int64{b0, b1, a1 - dhi, a1 - dhi + 1, a0 - dlo, a0 - dlo - 1, a0 - dlo + 1, a1 - dhi - 1, a0 - dhi, a1 - dlo}
-	var cuts []int64
+	// Candidate breakpoints: where either clamp switches regime. They are
+	// insertion-sorted and deduplicated in a fixed array: this runs once
+	// per segment pair, so it must not allocate.
+	cands := [...]int64{b0, b1, a1 - dhi, a1 - dhi + 1, a0 - dlo, a0 - dlo - 1, a0 - dlo + 1, a1 - dhi - 1, a0 - dhi, a1 - dlo}
+	var buf [len(cands)]int64
+	n := 0
 	for _, cd := range cands {
-		if cd >= b0 && cd <= b1 {
-			cuts = append(cuts, cd)
+		if cd < b0 || cd > b1 {
+			continue
 		}
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	// Dedup.
-	uniq := cuts[:0]
-	for i, v := range cuts {
-		if i == 0 || v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
+		i := n
+		for i > 0 && buf[i-1] > cd {
+			i--
 		}
+		if i > 0 && buf[i-1] == cd {
+			continue
+		}
+		copy(buf[i+1:n+1], buf[i:n])
+		buf[i] = cd
+		n++
 	}
-	cuts = uniq
+	cuts := buf[:n]
 
 	total := 0.0
 	for i := 0; i < len(cuts); i++ {
