@@ -157,44 +157,44 @@ func (c *Counter) ProbOfSystem(sys *solver.System) prob.P {
 	}
 	result := prob.One()
 	for _, comp := range components(sys) {
-		result = result.Mul(c.componentProb(sys, comp))
+		result = result.Mul(c.componentProb(comp))
 	}
 	return result
 }
 
 // componentProb counts one independent component, exactly when its shape
 // allows and by Monte-Carlo otherwise.
-func (c *Counter) componentProb(sys *solver.System, comp component) prob.P {
+func (c *Counter) componentProb(comp component) prob.P {
 	switch {
 	case c.ForceMC: // counted by Monte-Carlo below
-	case len(comp.roots) == 1 && len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) == 0:
+	case len(comp.classes) == 1 && len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) == 0:
 		c.stats.exactClasses.Add(1)
-		return prob.FromFloat(c.classMass(sys, comp.roots[0]))
-	case len(comp.roots) == 2 && len(comp.generic) == 0:
+		return prob.FromFloat(c.classMass(comp.classes[0]))
+	case len(comp.classes) == 2 && len(comp.generic) == 0:
 		c.stats.exactPairs.Add(1)
-		return c.pairProb(sys, comp)
+		return c.pairProb(comp)
 	case len(comp.generic) == 0 && len(comp.diffs) == 0 && len(comp.neqs) <= maxNeqEdges:
 		c.stats.exactNeqs.Add(1)
-		return c.neqProb(sys, comp)
+		return c.neqProb(comp)
 	}
 	c.stats.mcFallbacks.Add(1)
-	return c.monteCarlo(sys, comp)
+	return c.monteCarlo(comp)
 }
 
-// component groups roots linked by diffs, neqs, or generic constraints.
+// component groups classes linked by diffs, neqs, or generic constraints.
 type component struct {
-	roots   []solver.Var
+	classes []*solver.Class
 	diffs   []solver.Diff
 	neqs    []solver.Neq
 	generic []solver.Constraint
 }
 
 func components(sys *solver.System) []component {
-	idx := map[solver.Var]int{}
-	for i, r := range sys.Roots {
-		idx[r] = i
+	idx := make(map[solver.Var]int, len(sys.Classes))
+	for i, cl := range sys.Classes {
+		idx[cl.Root] = i
 	}
-	parent := make([]int, len(sys.Roots))
+	parent := make([]int, len(sys.Classes))
 	for i := range parent {
 		parent[i] = i
 	}
@@ -223,7 +223,7 @@ func components(sys *solver.System) []component {
 
 	byRoot := map[int]*component{}
 	order := []int{}
-	for i, r := range sys.Roots {
+	for i, cl := range sys.Classes {
 		k := find(i)
 		cp, ok := byRoot[k]
 		if !ok {
@@ -231,7 +231,7 @@ func components(sys *solver.System) []component {
 			byRoot[k] = cp
 			order = append(order, k)
 		}
-		cp.roots = append(cp.roots, r)
+		cp.classes = append(cp.classes, cl)
 	}
 	for _, d := range sys.Diffs {
 		byRoot[find(idx[d.A])].diffs = append(byRoot[find(idx[d.A])].diffs, d)
@@ -353,9 +353,8 @@ func sameFieldClass(members []solver.Member) (string, int64, bool) {
 
 // classMass computes the probability mass of one equality class within its
 // propagated interval, excluding punched holes.
-func (c *Counter) classMass(sys *solver.System, root solver.Var) float64 {
-	members := sys.Members[root]
-	iv := sys.RootIv[root]
+func (c *Counter) classMass(cl *solver.Class) float64 {
+	members, iv := cl.Members, cl.Iv
 	if iv.Empty() {
 		return 0
 	}
@@ -372,7 +371,7 @@ func (c *Counter) classMass(sys *solver.System, root solver.Var) float64 {
 				p *= pe
 			}
 			// Holes are in root space; translate and discount.
-			for _, h := range sys.Holes[root] {
+			for _, h := range cl.Holes {
 				vh := uint64(int64(h) + off)
 				p -= d.P(vh) * powf(pe, len(members)-1)
 			}
@@ -383,9 +382,9 @@ func (c *Counter) classMass(sys *solver.System, root solver.Var) float64 {
 		}
 	}
 
-	segs := c.classSegments(sys, root)
+	segs := c.classSegments(cl)
 	mass := segMass(segs)
-	for _, h := range sys.Holes[root] {
+	for _, h := range cl.Holes {
 		mass -= segDensityAt(segs, h)
 	}
 	if mass < 0 {
@@ -422,9 +421,8 @@ func segDensityAt(segs []wseg, v uint64) float64 {
 // classSegments computes the piecewise-constant weight function of an
 // equality class over root space: w(x) = ∏_i P_i(x + off_i), restricted to
 // the propagated interval.
-func (c *Counter) classSegments(sys *solver.System, root solver.Var) []wseg {
-	members := sys.Members[root]
-	iv := sys.RootIv[root]
+func (c *Counter) classSegments(cl *solver.Class) []wseg {
+	members, iv := cl.Members, cl.Iv
 	if iv.Empty() {
 		return nil
 	}

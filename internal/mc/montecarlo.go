@@ -17,7 +17,7 @@ const mcSamples = 20000
 // weight function; the hit rate over the samples scales the product of the
 // class masses. The RNG is derived deterministically from the counter seed
 // and the component's constraints, so estimates are reproducible.
-func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
+func (c *Counter) monteCarlo(comp component) prob.P {
 	// Base: product of class masses (the probability of the "box" before
 	// the coupling constraints).
 	base := prob.One()
@@ -27,9 +27,9 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 		mass float64
 		cum  []float64
 	}
-	infos := make([]classInfo, 0, len(comp.roots))
-	for _, r := range comp.roots {
-		segs := punchHoles(c.classSegments(sys, r), sys.Holes[r])
+	infos := make([]classInfo, 0, len(comp.classes))
+	for _, cl := range comp.classes {
+		segs := punchHoles(c.classSegments(cl), cl.Holes)
 		mass := segMass(segs)
 		if mass <= 0 {
 			return prob.Zero()
@@ -40,7 +40,7 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 			acc += s.dens * (float64(s.hi-s.lo) + 1)
 			cum[i] = acc
 		}
-		infos = append(infos, classInfo{root: r, segs: segs, mass: mass, cum: cum})
+		infos = append(infos, classInfo{root: cl.Root, segs: segs, mass: mass, cum: cum})
 		base = base.Mul(prob.FromFloat(mass))
 	}
 	if base.IsZero() {
@@ -55,8 +55,8 @@ func (c *Counter) monteCarlo(sys *solver.System, comp component) prob.P {
 	for _, g := range comp.generic {
 		h.Write([]byte(g.String()))
 	}
-	for _, r := range comp.roots {
-		h.Write([]byte(r.String()))
+	for _, cl := range comp.classes {
+		h.Write([]byte(cl.Root.String()))
 	}
 	rng := rand.New(rand.NewSource(c.Seed ^ int64(h.Sum64())))
 

@@ -22,14 +22,14 @@ const maxNeqEdges = 10
 // normalized by each class's mass, so the sum is the probability that the
 // disequalities hold given every class's interval and holes, and the class
 // masses scale it in log space as in monteCarlo.
-func (c *Counter) neqProb(sys *solver.System, comp component) prob.P {
-	n := len(comp.roots)
+func (c *Counter) neqProb(comp component) prob.P {
+	n := len(comp.classes)
 	idx := make(map[solver.Var]int, n)
 	segs := make([][]wseg, n)
 	base := prob.One()
-	for i, r := range comp.roots {
-		idx[r] = i
-		s := punchHoles(c.classSegments(sys, r), sys.Holes[r])
+	for i, cl := range comp.classes {
+		idx[cl.Root] = i
+		s := punchHoles(c.classSegments(cl), cl.Holes)
 		mass := segMass(s)
 		if mass <= 0 {
 			return prob.Zero()

@@ -5,13 +5,13 @@ import (
 	"sort"
 
 	"repro/internal/prob"
-	"repro/internal/solver"
 )
 
 // pairProb exactly counts a two-class component linked by difference and
 // disequality constraints: P = Σ_{x,y} wA(x)·wB(y)·[dlo ≤ x−y ≤ dhi]·[x ≠ y+c ...].
-func (c *Counter) pairProb(sys *solver.System, comp component) prob.P {
-	a, b := comp.roots[0], comp.roots[1]
+func (c *Counter) pairProb(comp component) prob.P {
+	ca, cb := comp.classes[0], comp.classes[1]
+	a, b := ca.Root, cb.Root
 
 	// Fold all difference constraints into a single window on x−y.
 	dlo := int64(math.MinInt64 / 4)
@@ -50,8 +50,8 @@ func (c *Counter) pairProb(sys *solver.System, comp component) prob.P {
 	}
 	sort.Slice(excluded, func(i, j int) bool { return excluded[i] < excluded[j] })
 
-	segsA := punchHoles(c.classSegments(sys, a), sys.Holes[a])
-	segsB := punchHoles(c.classSegments(sys, b), sys.Holes[b])
+	segsA := punchHoles(c.classSegments(ca), ca.Holes)
+	segsB := punchHoles(c.classSegments(cb), cb.Holes)
 
 	total := 0.0
 	for _, sa := range segsA {

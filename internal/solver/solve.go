@@ -44,13 +44,18 @@ func Solve(cs []Constraint, space *Space, opt SolveOptions) (map[Var]uint64, boo
 	return sys.Solve(opt)
 }
 
-// Feasible runs propagation only: a fast, conservative satisfiability check
-// used to prune symbolic paths. It never reports a satisfiable system as
-// infeasible; with disequality or generic residue it may (rarely) report an
-// infeasible one as feasible.
-func Feasible(cs []Constraint, space *Space) bool {
+// Feasible runs propagation only: the fast, conservative satisfiability
+// check that prunes symbolic paths. It returns the system of cs, extended
+// from prior — the system of a prefix of cs — or built from scratch when
+// prior is nil. The verdict is the result's Feasible field: never false
+// for a satisfiable conjunction, but with disequality or generic residue
+// it may (rarely) be true for an unsatisfiable one.
+func Feasible(prior *System, cs []Constraint, space *Space) *System {
 	metrics.feasible.Add(1)
-	return Build(cs, space).Feasible
+	if prior == nil {
+		return Build(cs, space)
+	}
+	return prior.Extend(cs)
 }
 
 // Solve searches for a witness of the normalized system.
@@ -99,9 +104,9 @@ func (s *System) solve(opt SolveOptions) (map[Var]uint64, bool) {
 // the initial pick within the feasible range is randomized, which serves as
 // the restart strategy.
 func (s *System) assignRoots(rng *rand.Rand, randomize bool) (map[Var]uint64, bool) {
-	val := map[Var]uint64{}
-	for _, r := range s.Roots {
-		iv := s.RootIv[r]
+	val := make(map[Var]uint64, len(s.Classes))
+	for _, c := range s.Classes {
+		r, iv := c.Root, c.Iv
 		// Tighten with diffs against already-assigned roots.
 		for _, d := range s.Diffs {
 			if d.A == r {
@@ -129,7 +134,7 @@ func (s *System) assignRoots(rng *rand.Rand, randomize bool) (map[Var]uint64, bo
 		}
 		// Collect forbidden values: holes plus neqs against assigned roots.
 		forbidden := map[uint64]bool{}
-		for _, h := range s.Holes[r] {
+		for _, h := range c.Holes {
 			forbidden[h] = true
 		}
 		for _, n := range s.Neqs {
@@ -203,9 +208,9 @@ func pick(iv Interval, forbidden map[uint64]bool, rng *rand.Rand, randomize bool
 // expand derives every member variable's value from its root value.
 func (s *System) expand(rootVal map[Var]uint64) map[Var]uint64 {
 	asn := make(map[Var]uint64, len(rootVal))
-	for r, ms := range s.Members {
-		rv := int64(rootVal[r])
-		for _, m := range ms {
+	for _, c := range s.Classes {
+		rv := int64(rootVal[c.Root])
+		for _, m := range c.Members {
 			asn[m.Var] = uint64(rv + m.Off)
 		}
 	}
@@ -241,6 +246,11 @@ func (s *System) repairGeneric(rng *rand.Rand, rootVal map[Var]uint64, opt Solve
 		roots = append(roots, v)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].Less(roots[j]) })
+	ivs := make([]Interval, len(roots))
+	for k, r := range roots {
+		i, _ := s.rootIndex(r)
+		ivs[k] = s.Classes[i].Iv
+	}
 
 	for try := 0; try < 512; try++ {
 		if try%64 == 63 && opt.ctxCanceled() {
@@ -250,8 +260,8 @@ func (s *System) repairGeneric(rng *rand.Rand, rootVal map[Var]uint64, opt Solve
 		for k, v := range rootVal {
 			trial[k] = v
 		}
-		for _, r := range roots {
-			iv := s.RootIv[r]
+		for k, r := range roots {
+			iv := ivs[k]
 			if iv.Empty() {
 				return nil, false
 			}
@@ -280,7 +290,7 @@ func (s *System) repairGeneric(rng *rand.Rand, rootVal map[Var]uint64, opt Solve
 					continue
 				}
 				want := -rest / t.Coef
-				if want >= 0 && s.RootIv[t.Var].Contains(uint64(want)) {
+				if i, _ := s.rootIndex(t.Var); want >= 0 && s.Classes[i].Iv.Contains(uint64(want)) {
 					trial[t.Var] = uint64(want)
 					break
 				}
@@ -309,12 +319,12 @@ func (s *System) consistent(val map[Var]uint64) bool {
 			return false
 		}
 	}
-	for r, hs := range s.Holes {
-		v, ok := val[r]
+	for _, c := range s.Classes {
+		v, ok := val[c.Root]
 		if !ok {
 			continue
 		}
-		for _, h := range hs {
+		for _, h := range c.Holes {
 			if v == h {
 				return false
 			}

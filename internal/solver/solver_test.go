@@ -86,7 +86,7 @@ func TestSolveContradiction(t *testing.T) {
 	if _, ok := Solve(cs, sp, SolveOptions{}); ok {
 		t.Fatal("expected UNSAT")
 	}
-	if Feasible(cs, sp) {
+	if Feasible(nil, cs, sp).Feasible {
 		t.Fatal("Feasible should detect interval contradiction")
 	}
 }
@@ -115,7 +115,7 @@ func TestSolveEqualityContradiction(t *testing.T) {
 		cmp(ir.CmpEq, VarExpr(v(0, "a")), ConstExpr(1)),
 		cmp(ir.CmpEq, VarExpr(v(0, "b")), ConstExpr(2)),
 	}
-	if Feasible(cs, sp) {
+	if Feasible(nil, cs, sp).Feasible {
 		t.Fatal("expected propagation to find contradiction")
 	}
 }
@@ -201,7 +201,7 @@ func TestSolveNegativeCycle(t *testing.T) {
 		cmp(ir.CmpLt, VarExpr(v(0, "a")), VarExpr(v(0, "b"))),
 		cmp(ir.CmpLt, VarExpr(v(0, "b")), VarExpr(v(0, "a"))),
 	}
-	if Feasible(cs, sp) {
+	if Feasible(nil, cs, sp).Feasible {
 		t.Fatal("expected negative cycle to be infeasible")
 	}
 }
@@ -230,7 +230,7 @@ func TestSolveCoefficientBounds(t *testing.T) {
 		t.Fatalf("3a==12: got %v ok=%v", asn, ok)
 	}
 	cs2 := []Constraint{NewCmp(ir.CmpEq, VarExpr(v(0, "a")).Scale(3), ConstExpr(13))}
-	if Feasible(cs2, sp) {
+	if Feasible(nil, cs2, sp).Feasible {
 		t.Fatal("3a==13 should be infeasible")
 	}
 }
@@ -243,21 +243,23 @@ func TestSolveHoleExhaustion(t *testing.T) {
 		cmp(ir.CmpNe, VarExpr(v(0, "a")), ConstExpr(3)),
 		cmp(ir.CmpNe, VarExpr(v(0, "a")), ConstExpr(4)),
 	}
-	if Feasible(cs, sp) {
+	if Feasible(nil, cs, sp).Feasible {
 		t.Fatal("all values excluded: should be infeasible")
 	}
 }
 
-func TestSystemRootOf(t *testing.T) {
+// find, the class lookup Build and Extend rewrite constraints with, maps
+// each variable to its class and its offset from the root.
+func TestSystemFindClass(t *testing.T) {
 	sp := space16()
 	cs := []Constraint{
 		cmp(ir.CmpEq, VarExpr(v(0, "a")), VarExpr(v(0, "b")).Add(ConstExpr(3))),
 	}
 	sys := Build(cs, sp)
-	ra, oa := sys.RootOf(v(0, "a"))
-	rb, ob := sys.RootOf(v(0, "b"))
-	if ra != rb {
-		t.Fatal("a and b should share a root")
+	ia, oa := sys.find(v(0, "a"))
+	ib, ob := sys.find(v(0, "b"))
+	if ia != ib || len(sys.Classes) != 1 {
+		t.Fatal("a and b should share a class")
 	}
 	// val(a) = root+oa, val(b) = root+ob, and a = b+3 => oa-ob == 3.
 	if oa-ob != 3 {
@@ -324,7 +326,7 @@ func TestFeasibleNeverRejectsSAT(t *testing.T) {
 			cmp(ir.CmpLe, VarExpr(v(0, "a")), ConstExpr(int64(hi))),
 		}
 		_, ok := Solve(cs, sp, SolveOptions{})
-		feas := Feasible(cs, sp)
+		feas := Feasible(nil, cs, sp).Feasible
 		if ok && !feas {
 			return false
 		}

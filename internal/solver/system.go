@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -25,29 +27,48 @@ type Neq struct {
 	C    int64
 }
 
-// System is the normal form of a conjunction of constraints: interval bounds
-// per equality class, difference constraints, disequalities, punched holes
-// (unary disequalities), and a residue of generic constraints that did not
-// fit the structured fragment. It is consumed both by the concrete solver
-// (Solve) and by the model counter.
+// Class is one equality class of a System: every member equals the root
+// plus its offset, and the root ranges over Iv minus Holes.
+type Class struct {
+	Root Var
+	// Iv is the propagated interval of the root.
+	Iv Interval
+	// Members lists the class's variables in Var order, the root among
+	// them with offset 0.
+	Members []Member
+	// Holes are the excluded root values (unary disequalities), ascending.
+	Holes []uint64
+
+	// owner is the system that allocated the class and may still write
+	// it. It is nil once that system is finished: from then on the class
+	// is read-only and shared by every system extended from it.
+	owner *System
+}
+
+// System is the normal form of a conjunction of constraints: one Class per
+// equality class, difference constraints and disequalities between class
+// roots, and a residue of generic constraints that did not fit the
+// structured fragment. It is consumed both by the concrete solver (Solve)
+// and by the model counter.
+//
+// A System is immutable once Build or Extend returns it, so an extension
+// shares everything its new constraints leave alone: classes are copied on
+// write, and Diffs, Neqs and Generic are kept at full capacity so that an
+// append always copies.
 type System struct {
 	Space *Space
 
-	// Roots lists equality-class roots in deterministic order.
-	Roots []Var
-	// RootIv is the propagated interval of each root.
-	RootIv map[Var]Interval
-	// Members maps each root to its class members (always including the
-	// root itself with offset 0).
-	Members map[Var][]Member
+	// Classes lists the equality classes in root order.
+	Classes []*Class
 
 	Diffs   []Diff
 	Neqs    []Neq
-	Holes   map[Var][]uint64 // root -> excluded root-values
 	Generic []Constraint
 
 	// Feasible is false when propagation proved the system unsatisfiable.
 	Feasible bool
+
+	n int // length of the conjunction the system normalizes
 }
 
 type unionFind struct {
@@ -122,78 +143,170 @@ func classify(e LinExpr) kind {
 // are present — use Solve for a definitive witness).
 func Build(cs []Constraint, space *Space) *System {
 	metrics.builds.Add(1)
-	sys := &System{
-		Space:    space,
-		RootIv:   map[Var]Interval{},
-		Members:  map[Var][]Member{},
-		Holes:    map[Var][]uint64{},
-		Feasible: true,
-	}
-	uf := newUnionFind()
-	vars := map[Var]bool{}
+	s := &System{Space: space, Feasible: true}
+	s.mergeClasses(cs)
 	for _, c := range cs {
-		for _, v := range c.E.Vars() {
-			vars[v] = true
-			uf.find(v)
+		if !merges(c) {
+			s.add(c)
 		}
 	}
+	s.finish(len(cs))
+	return s
+}
 
-	// Pass 1: equalities between two unit-coefficient variables define the
-	// classes.
-	var rest []Constraint
+// Extend returns the system of cs, where s is the system of a prefix of cs
+// (the conjunction s was built or extended from). Only the constraints past
+// that prefix are normalized; s is left unchanged and shares every class
+// they do not touch. An infeasible s stays infeasible and is returned as is.
+//
+// An equality between two variables may merge classes, and a merge picks
+// the root in union order, which the model counter's product order follows.
+// An extension with such a constraint is therefore built from scratch, so
+// that Extend always returns exactly what Build(cs) would.
+func (s *System) Extend(cs []Constraint) *System {
+	add := cs[s.n:]
+	if len(add) == 0 || !s.Feasible {
+		return s
+	}
+	for _, c := range add {
+		if merges(c) {
+			return Build(cs, s.Space)
+		}
+	}
+	t := &System{Space: s.Space, Classes: slices.Clone(s.Classes),
+		Diffs: s.Diffs, Neqs: s.Neqs, Generic: s.Generic, Feasible: true}
+	for _, c := range add {
+		t.add(c)
+	}
+	t.finish(len(cs))
+	return t
+}
+
+// merges reports whether c equates two unit-coefficient variables: such
+// equalities define the classes.
+func merges(c Constraint) bool { return c.Op == ir.CmpEq && classify(c.E) == kBinary }
+
+// mergeClasses forms the classes defined by the two-variable equalities of
+// cs. Each class's root is the one union order picks; its interval starts
+// as the intersection of its members' domains, shifted into root space.
+func (s *System) mergeClasses(cs []Constraint) {
+	var uf *unionFind
 	for _, c := range cs {
-		if c.Op == ir.CmpEq && classify(c.E) == kBinary {
-			// x - y + k == 0  =>  val(x) = val(y) - k.
-			x, y, k := binaryParts(c.E)
-			if !uf.union(x, y, -k) {
-				sys.Feasible = false
-			}
+		if !merges(c) {
 			continue
 		}
-		rest = append(rest, c)
+		if uf == nil {
+			uf = newUnionFind()
+		}
+		// x - y + k == 0  =>  val(x) = val(y) - k.
+		x, y, k := binaryParts(c.E)
+		if !uf.union(x, y, -k) {
+			s.Feasible = false
+		}
 	}
-
-	// Initialize root intervals from member domains.
-	var allVars []Var
-	for v := range vars {
-		allVars = append(allVars, v)
+	if uf == nil {
+		return
 	}
-	sort.Slice(allVars, func(i, j int) bool { return allVars[i].Less(allVars[j]) })
-	for _, v := range allVars {
+	vars := make([]Var, 0, len(uf.parent))
+	for v := range uf.parent {
+		vars = append(vars, v)
+	}
+	sort.Slice(vars, func(i, j int) bool { return vars[i].Less(vars[j]) })
+	byRoot := make(map[Var]*Class, len(vars))
+	for _, v := range vars {
 		r, off := uf.find(v)
-		sys.Members[r] = append(sys.Members[r], Member{Var: v, Off: off})
 		// val(v) = val(r) + off, and val(v) ∈ Domain(v)
 		// => val(r) ∈ Domain(v) - off.
-		dom := space.Domain(v).Shift(-off)
-		if cur, ok := sys.RootIv[r]; ok {
-			sys.RootIv[r] = cur.Intersect(dom)
+		dom := s.Space.Domain(v).Shift(-off)
+		c, ok := byRoot[r]
+		if !ok {
+			c = &Class{Root: r, Iv: dom, owner: s}
+			byRoot[r] = c
+			s.Classes = append(s.Classes, c)
 		} else {
-			sys.RootIv[r] = dom
+			c.Iv = c.Iv.Intersect(dom)
+		}
+		c.Members = append(c.Members, Member{Var: v, Off: off})
+	}
+	sort.Slice(s.Classes, func(i, j int) bool { return s.Classes[i].Root.Less(s.Classes[j].Root) })
+}
+
+// add rewrites one constraint that merges no classes onto class roots.
+func (s *System) add(c Constraint) {
+	switch classify(c.E) {
+	case kConst:
+		if !c.Holds(nil) {
+			s.Feasible = false
+		}
+	case kUnary:
+		s.addUnary(c)
+	case kBinary:
+		s.addBinary(c)
+	default:
+		s.Generic = append(s.Generic, s.rewriteOnRoots(c))
+	}
+}
+
+// finish propagates the system, seals it against writes through shared
+// storage, and records the length of the conjunction it normalizes.
+func (s *System) finish(n int) {
+	s.propagate()
+	for _, c := range s.Classes {
+		if c.owner == s {
+			c.owner = nil
 		}
 	}
-	for r := range sys.Members {
-		sys.Roots = append(sys.Roots, r)
-	}
-	sort.Slice(sys.Roots, func(i, j int) bool { return sys.Roots[i].Less(sys.Roots[j]) })
+	s.Diffs = slices.Clip(s.Diffs)
+	s.Neqs = slices.Clip(s.Neqs)
+	s.Generic = slices.Clip(s.Generic)
+	s.n = n
+}
 
-	// Pass 2: everything else, rewritten onto roots.
-	for _, c := range rest {
-		switch classify(c.E) {
-		case kConst:
-			if !c.Holds(nil) {
-				sys.Feasible = false
+// find returns the index of v's class and v's offset from the class root.
+// A variable the system has not seen becomes a singleton class over its
+// domain.
+func (s *System) find(v Var) (int, int64) {
+	i, ok := s.rootIndex(v)
+	if ok {
+		return i, 0
+	}
+	for j, c := range s.Classes {
+		for _, m := range c.Members {
+			if m.Var == v {
+				return j, m.Off
 			}
-		case kUnary:
-			sys.addUnary(uf, c)
-		case kBinary:
-			sys.addBinary(uf, c)
-		default:
-			sys.Generic = append(sys.Generic, rewriteOnRoots(uf, c))
 		}
 	}
+	c := &Class{Root: v, Iv: s.Space.Domain(v), Members: []Member{{Var: v}}, owner: s}
+	s.Classes = slices.Insert(s.Classes, i, c)
+	return i, 0
+}
 
-	sys.propagate()
-	return sys
+// rootIndex binary-searches the classes for the one rooted at r; when there
+// is none, it returns the index where such a class would go.
+func (s *System) rootIndex(r Var) (int, bool) {
+	return slices.BinarySearchFunc(s.Classes, r, func(c *Class, r Var) int { return c.Root.compare(r) })
+}
+
+// mut returns class i for writing, copying it first when it is shared with
+// the system this one was extended from.
+func (s *System) mut(i int) *Class {
+	c := s.Classes[i]
+	if c.owner != s {
+		cp := *c
+		cp.owner = s
+		c = &cp
+		s.Classes[i] = c
+	}
+	return c
+}
+
+// narrow intersects class i's interval with iv, writing only on change.
+func (s *System) narrow(i int, iv Interval) {
+	cur := s.Classes[i].Iv
+	if nv := cur.Intersect(iv); nv != cur {
+		s.mut(i).Iv = nv
+	}
 }
 
 func binaryParts(e LinExpr) (x, y Var, k int64) {
@@ -205,9 +318,9 @@ func binaryParts(e LinExpr) (x, y Var, k int64) {
 }
 
 // addUnary handles c*x + k op 0.
-func (s *System) addUnary(uf *unionFind, con Constraint) {
+func (s *System) addUnary(con Constraint) {
 	t := con.E.Terms[0]
-	r, off := uf.find(t.Var)
+	i, off := s.find(t.Var)
 	c, k := t.Coef, con.E.K
 	// c*(val(r)+off) + k op 0  =>  c*val(r) op -(k + c*off)
 	rhs := -(k + c*off)
@@ -225,10 +338,10 @@ func (s *System) addUnary(uf *unionFind, con Constraint) {
 			return
 		}
 		v := uint64(rhs / c)
-		s.RootIv[r] = s.RootIv[r].Intersect(Interval{v, v})
+		s.narrow(i, Interval{v, v})
 	case ir.CmpNe:
 		if rhs >= 0 && rhs%c == 0 {
-			s.addHole(r, uint64(rhs/c))
+			s.addHole(i, uint64(rhs/c))
 		}
 	case ir.CmpLe, ir.CmpLt:
 		// c*v <= rhs (or < rhs): v <= floor(rhs'/c)
@@ -240,8 +353,7 @@ func (s *System) addUnary(uf *unionFind, con Constraint) {
 			s.Feasible = false
 			return
 		}
-		hi := uint64(limit / c) // floor for non-negative
-		s.RootIv[r] = s.RootIv[r].Intersect(Interval{0, hi})
+		s.narrow(i, Interval{0, uint64(limit / c)}) // floor for non-negative
 	case ir.CmpGe, ir.CmpGt:
 		limit := rhs
 		if op == ir.CmpGt {
@@ -250,12 +362,7 @@ func (s *System) addUnary(uf *unionFind, con Constraint) {
 		if limit <= 0 {
 			return // always true for unsigned v
 		}
-		lo := uint64((limit + c - 1) / c) // ceil
-		iv := s.RootIv[r]
-		if lo > iv.Lo {
-			iv.Lo = lo
-		}
-		s.RootIv[r] = iv
+		s.narrow(i, Interval{uint64((limit + c - 1) / c), math.MaxUint64}) // ceil
 	}
 }
 
@@ -273,11 +380,14 @@ func flipIneq(op ir.CmpOp) ir.CmpOp {
 	return op // Eq/Ne unchanged
 }
 
-// addBinary handles x - y + k op 0 for non-Eq operators.
-func (s *System) addBinary(uf *unionFind, con Constraint) {
+// addBinary handles x - y + k op 0 for every operator but CmpEq, which
+// merges classes instead.
+func (s *System) addBinary(con Constraint) {
 	x, y, k := binaryParts(con.E)
-	rx, ox := uf.find(x)
-	ry, oy := uf.find(y)
+	ix, ox := s.find(x)
+	rx := s.Classes[ix].Root
+	iy, oy := s.find(y) // may insert a class before ix
+	ry := s.Classes[iy].Root
 	// val(x)-val(y)+k = val(rx)+ox-val(ry)-oy+k op 0
 	kk := ox - oy + k
 	if rx == ry {
@@ -299,29 +409,24 @@ func (s *System) addBinary(uf *unionFind, con Constraint) {
 		s.Diffs = append(s.Diffs, Diff{A: ry, B: rx, C: kk})
 	case ir.CmpGt:
 		s.Diffs = append(s.Diffs, Diff{A: ry, B: rx, C: kk - 1})
-	case ir.CmpEq:
-		// Handled in pass 1; defensive fallback.
-		if !uf.union(x, y, -k) {
-			s.Feasible = false
-		}
 	}
 }
 
-func (s *System) addHole(r Var, v uint64) {
-	for _, h := range s.Holes[r] {
-		if h == v {
-			return
-		}
+// addHole excludes root value v from class i.
+func (s *System) addHole(i int, v uint64) {
+	j, found := slices.BinarySearch(s.Classes[i].Holes, v)
+	if found {
+		return
 	}
-	s.Holes[r] = append(s.Holes[r], v)
-	sort.Slice(s.Holes[r], func(i, j int) bool { return s.Holes[r][i] < s.Holes[r][j] })
+	c := s.mut(i)
+	c.Holes = slices.Insert(slices.Clip(c.Holes), j, v) // never writes a shared array
 }
 
-func rewriteOnRoots(uf *unionFind, con Constraint) Constraint {
+func (s *System) rewriteOnRoots(con Constraint) Constraint {
 	out := LinExpr{K: con.E.K}
 	for _, t := range con.E.Terms {
-		r, off := uf.find(t.Var)
-		out.Terms = append(out.Terms, Term{Var: r, Coef: t.Coef})
+		i, off := s.find(t.Var)
+		out.Terms = append(out.Terms, Term{Var: s.Classes[i].Root, Coef: t.Coef})
 		out.K += t.Coef * off
 	}
 	return Constraint{E: out.canon(), Op: con.Op}
@@ -330,18 +435,26 @@ func rewriteOnRoots(uf *unionFind, con Constraint) Constraint {
 // propagate tightens root intervals through the difference constraints until
 // a fixpoint (bounded by the number of constraints to guarantee
 // termination on negative cycles, which are reported as infeasible).
+//
+// The fixpoint is the greatest one below the starting intervals, whatever
+// order the constraints arrive in, so propagating an extension from its
+// parent's fixpoint reaches the intervals a from-scratch Build reaches.
 func (s *System) propagate() {
 	if !s.Feasible {
 		return
 	}
-	maxRounds := len(s.Diffs) + len(s.Roots) + 1
+	ends := make([][2]int, len(s.Diffs)) // class indices of each diff's roots
+	for k, d := range s.Diffs {
+		ends[k][0], _ = s.rootIndex(d.A)
+		ends[k][1], _ = s.rootIndex(d.B)
+	}
+	maxRounds := len(s.Diffs) + len(s.Classes) + 1
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		for _, d := range s.Diffs {
-			a := s.RootIv[d.A]
-			b := s.RootIv[d.B]
+		for k, d := range s.Diffs {
+			ia, ib := ends[k][0], ends[k][1]
+			a, b := s.Classes[ia].Iv, s.Classes[ib].Iv
 			// val(a) <= val(b) + C  =>  hi(a) <= hi(b)+C, lo(b) >= lo(a)-C.
-			hiB := int64(0)
 			// Use signed arithmetic carefully; values fit in int64 for <=2^32 domains,
 			// but 64-bit domains could overflow. Saturate.
 			hiLimit := satAdd(int64(b.Hi), d.C)
@@ -351,16 +464,15 @@ func (s *System) propagate() {
 			}
 			if uint64(hiLimit) < a.Hi {
 				a.Hi = uint64(hiLimit)
+				s.mut(ia).Iv = a
 				changed = true
 			}
 			loLimit := satAdd(int64(a.Lo), -d.C)
-			_ = hiB
 			if loLimit > 0 && uint64(loLimit) > b.Lo {
 				b.Lo = uint64(loLimit)
+				s.mut(ib).Iv = b
 				changed = true
 			}
-			s.RootIv[d.A] = a
-			s.RootIv[d.B] = b
 			if a.Empty() || b.Empty() {
 				s.Feasible = false
 				return
@@ -375,36 +487,26 @@ func (s *System) propagate() {
 			return
 		}
 	}
-	for _, iv := range s.RootIv {
-		if iv.Empty() {
-			s.Feasible = false
-			return
-		}
-	}
-	// Disequalities on identical roots.
-	for _, n := range s.Neqs {
-		if n.A == n.B && n.C == 0 {
+	for _, c := range s.Classes {
+		if c.Iv.Empty() {
 			s.Feasible = false
 			return
 		}
 	}
 	// Singleton intervals fully consumed by holes.
-	for r, iv := range s.RootIv {
-		holes := s.Holes[r]
-		if len(holes) == 0 {
+	for _, c := range s.Classes {
+		if len(c.Holes) == 0 || c.Iv.Size() > float64(len(c.Holes)) {
 			continue
 		}
-		if iv.Size() <= float64(len(holes)) {
-			free := iv.Size()
-			for _, h := range holes {
-				if iv.Contains(h) {
-					free--
-				}
+		free := c.Iv.Size()
+		for _, h := range c.Holes {
+			if c.Iv.Contains(h) {
+				free--
 			}
-			if free <= 0 {
-				s.Feasible = false
-				return
-			}
+		}
+		if free <= 0 {
+			s.Feasible = false
+			return
 		}
 	}
 }
@@ -418,17 +520,4 @@ func satAdd(a, b int64) int64 {
 		return -int64(^uint64(0)>>1) - 1
 	}
 	return s
-}
-
-// RootOf returns the class root and offset of a variable in the system
-// (identity for variables the system never saw).
-func (s *System) RootOf(v Var) (Var, int64) {
-	for r, ms := range s.Members {
-		for _, m := range ms {
-			if m.Var == v {
-				return r, m.Off
-			}
-		}
-	}
-	return v, 0
 }

@@ -63,11 +63,17 @@ func (v Var) Mask() (base string, mask uint64, ok bool) {
 }
 
 // Less orders variables deterministically.
-func (v Var) Less(o Var) bool {
-	if v.Pkt != o.Pkt {
-		return v.Pkt < o.Pkt
+func (v Var) Less(o Var) bool { return v.compare(o) < 0 }
+
+// compare is the three-way form of Less.
+func (v Var) compare(o Var) int {
+	switch {
+	case v.Pkt < o.Pkt:
+		return -1
+	case v.Pkt > o.Pkt:
+		return 1
 	}
-	return v.Field < o.Field
+	return strings.Compare(v.Field, o.Field)
 }
 
 // Interval is an inclusive unsigned range. An empty interval has Lo > Hi.

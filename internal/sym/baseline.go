@@ -115,7 +115,7 @@ func (e *Engine) execHashBaseline(p *Path, h *ir.HashAccess, pkt int) ([]*Path, 
 
 func (e *Engine) baselineWriteBack(q *Path, h *ir.HashAccess, idxVar solver.Var, keys []solver.LinExpr, pkt int) {
 	if h.Dest != "" {
-		q.Meta[h.Dest] = e.havoc(pkt, solver.FullInterval(32))
+		q.setMeta(h.Dest, e.havoc(pkt, solver.FullInterval(32)))
 	}
 	if !h.Write {
 		return
@@ -131,7 +131,7 @@ func (e *Engine) feasible(p *Path) bool {
 		return false
 	}
 	e.Stats.FeasibilityChk++
-	return e.timedFeasible(p.PC)
+	return e.timedFeasible(p)
 }
 
 func (e *Engine) execBloomBaseline(p *Path, b *ir.BloomOp, pkt int) ([]*Path, error) {
@@ -167,7 +167,7 @@ func (e *Engine) execSketchUpdateBaseline(p *Path, s *ir.SketchUpdate, pkt int) 
 	// estimate is a fresh unknown. Fork per row over aliasing with prior
 	// updates (approximated as one fork per prior update, as for tables).
 	if s.Dest != "" {
-		p.Meta[s.Dest] = e.havoc(pkt, solver.FullInterval(32))
+		p.setMeta(s.Dest, e.havoc(pkt, solver.FullInterval(32)))
 	}
 	writes := p.BWrites["__cms_"+s.Sketch]
 	var out []*Path

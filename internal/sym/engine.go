@@ -182,13 +182,14 @@ func (e *Engine) countFork() {
 	e.Hot.Fork(e.curBlk)
 }
 
-// timedFeasible runs one solver feasibility check, attributing its wall
-// time to the current block. Callers account FeasibilityChk themselves.
-func (e *Engine) timedFeasible(cs []solver.Constraint) bool {
+// timedFeasible runs one solver feasibility check on p's path condition,
+// extending the system p carries, and attributes its wall time to the
+// current block. Callers account FeasibilityChk themselves.
+func (e *Engine) timedFeasible(p *Path) bool {
 	start := time.Now()
-	ok := solver.Feasible(cs, e.Space)
+	p.sys = solver.Feasible(p.sys, p.PC, e.Space)
 	e.Hot.AddSolver(e.curBlk, time.Since(start))
-	return ok
+	return p.sys.Feasible
 }
 
 // add accumulates worker-view stats; plain integer sums, so folding the
@@ -205,10 +206,25 @@ func (s *Stats) add(o Stats) {
 
 // Step processes one more symbolic packet (index pkt) on every path,
 // returning the forked path set. The caller reads per-packet visit sets and
-// probabilities off the returned paths before the next Step. Input paths
-// are disjoint object graphs (forks clone before mutating), so tasks are
-// independent; the shared live counter keeps the MaxPaths budget global.
+// probabilities off the returned paths before the next Step. Tasks are
+// independent: forks clone before mutating, and what sibling paths still
+// share is either copied on write (Regs and Meta maps) or immutable
+// (normalized systems). The shared live counter keeps the MaxPaths budget
+// global.
+//
+// The returned paths carry no normalized system, only PC: a system is a
+// cache for the packet's forks, and keeping it on the frontier between
+// packets would only hold memory.
 func (e *Engine) Step(paths []*Path, pkt int) ([]*Path, error) {
+	out, err := e.step(paths, pkt)
+	for _, p := range out {
+		p.sys = nil
+	}
+	return out, err
+}
+
+// step is Step without dropping the output paths' systems.
+func (e *Engine) step(paths []*Path, pkt int) ([]*Path, error) {
 	ctx := e.Opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -542,10 +558,10 @@ func (e *Engine) forkCmp(p *Path, c ir.Cmp, pkt int) (*Path, *Path) {
 	pf.PC = append(pf.PC, con.Negate())
 
 	e.Stats.FeasibilityChk += 2
-	if !e.timedFeasible(pt.PC) {
+	if !e.timedFeasible(pt) {
 		pt = nil
 	}
-	if !e.timedFeasible(pf.PC) {
+	if !e.timedFeasible(pf) {
 		pf = nil
 	}
 	return pt, pf

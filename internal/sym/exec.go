@@ -25,9 +25,9 @@ func (e *Engine) exec(p *Path, s ir.Stmt, pkt int) ([]*Path, error) {
 		v := e.evalExpr(p, t.Expr, pkt)
 		switch lv := t.Target.(type) {
 		case ir.RegLV:
-			p.Regs[lv.Reg] = v
+			p.setReg(lv.Reg, v)
 		case ir.MetaLV:
-			p.Meta[lv.Name] = v
+			p.setMeta(lv.Name, v)
 		}
 		return []*Path{p}, nil
 	case *ir.Action:
@@ -328,7 +328,7 @@ func (e *Engine) runArms(p *Path, arms []grArm, pkt int) ([]*Path, error) {
 
 func (e *Engine) setDest(p *Path, dest string, v Value) {
 	if dest != "" {
-		p.Meta[dest] = v
+		p.setMeta(dest, v)
 	}
 }
 
@@ -422,11 +422,11 @@ func (e *Engine) execArrayRead(p *Path, r *ir.ArrayRead, pkt int) {
 	arr := e.array(p, r.Array)
 	idx := e.evalExpr(p, r.Index, pkt)
 	if idx.IsConcrete() && int(idx.C) < len(arr) {
-		p.Meta[r.Dest] = arr[idx.C]
+		p.setMeta(r.Dest, arr[idx.C])
 		return
 	}
 	// Symbolic index: the read value is unconstrained.
-	p.Meta[r.Dest] = e.havoc(pkt, solver.FullInterval(32))
+	p.setMeta(r.Dest, e.havoc(pkt, solver.FullInterval(32)))
 }
 
 func (e *Engine) execArrayWrite(p *Path, w *ir.ArrayWrite, pkt int) {
@@ -537,7 +537,7 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 		// Entries are declared disjoint across the zoo; overlapping tables
 		// would need prior-entry miss chaining here as well.
 		e.Stats.FeasibilityChk++
-		if e.timedFeasible(q.PC) {
+		if e.timedFeasible(q) {
 			nps, err := e.exec(q, entries[i].Action, pkt)
 			if err != nil {
 				return nil, err
@@ -591,7 +591,7 @@ func (e *Engine) execTable(p *Path, t *ir.TableApply, pkt int) ([]*Path, error) 
 				}
 				q.PC = append(q.PC, way...)
 				e.Stats.FeasibilityChk++
-				if !e.timedFeasible(q.PC) {
+				if !e.timedFeasible(q) {
 					continue
 				}
 				next = append(next, q)

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,6 +12,13 @@ import (
 )
 
 func almostEq(a, b, tol float64) bool { return testutil.ApproxEqual(a, b, tol, 0) }
+
+// NodeProbs sums path probabilities per CFG node visited during the paths'
+// current packet, counting inline.
+func NodeProbs(paths []*Path, counter *mc.Counter, numNodes int) []prob.P {
+	out, _ := NodeProbsPool(context.Background(), paths, counter, numNodes, nil)
+	return out
+}
 
 // tcpUDP is the canonical two-way branch program: count TCP vs UDP.
 func tcpUDP(t *testing.T) *ir.Program {
